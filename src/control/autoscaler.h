@@ -2,8 +2,8 @@
 #define SPLITWISE_CONTROL_AUTOSCALER_H_
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
+#include <map>
+#include <set>
 #include <vector>
 
 #include "control/slo_monitor.h"
@@ -189,10 +189,11 @@ class Autoscaler {
     AutoscalerConfig config_;
     SloMonitor monitor_;
 
-    /** Retired machines draining toward park or flex. */
-    std::unordered_map<int, DrainIntent> pendingDrains_;
+    /** Retired machines draining toward park or flex, by id
+     *  (ordered, so drains complete lowest id first). */
+    std::map<int, DrainIntent> pendingDrains_;
     /** Machines whose unpark lead time is running. */
-    std::unordered_set<int> pendingUnparks_;
+    std::set<int> pendingUnparks_;
     /** In-flight scale-ups per pool (prompt, token), so one surge
      *  does not trigger a fleet-wide unpark. */
     std::size_t pendingUpPrompt_ = 0;

@@ -1,5 +1,6 @@
 #include "core/cls.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "sim/log.h"
@@ -26,72 +27,84 @@ ClusterScheduler::ClusterScheduler(sim::Simulator& simulator, ClsConfig config,
 {
     if (prompt_machines.empty() && token_machines.empty())
         sim::fatal("ClusterScheduler: no machines");
-    for (auto* m : prompt_machines) {
-        const PoolType origin = splitwise_ ? PoolType::kPrompt : PoolType::kMixed;
-        entries_[m->id()] = {m, origin, origin, 0};
-        machineIds_.push_back(m->id());
-    }
-    for (auto* m : token_machines) {
-        const PoolType origin = splitwise_ ? PoolType::kToken : PoolType::kMixed;
-        entries_[m->id()] = {m, origin, origin, 0};
-        machineIds_.push_back(m->id());
-    }
+    if (config_.tokenSloTbtMs <= 0.0)
+        sim::fatal("ClusterScheduler: tokenSloTbtMs must be positive");
+    entries_.resize(prompt_machines.size() + token_machines.size());
+    auto add = [&](engine::Machine* m, PoolType origin) {
+        Entry& e = at(m->id());
+        if (e.machine)
+            sim::fatal("ClusterScheduler: duplicate machine id");
+        e = {m, origin, origin, 0, State::kRouted};
+        maxKvTokens_ =
+            std::max(maxKvTokens_, m->mls().blocks().tokenCapacity());
+    };
+    for (auto* m : prompt_machines)
+        add(m, splitwise_ ? PoolType::kPrompt : PoolType::kMixed);
+    for (auto* m : token_machines)
+        add(m, splitwise_ ? PoolType::kToken : PoolType::kMixed);
+    routed_ = entries_.size();
+}
+
+bool
+ClusterScheduler::isIn(int machine_id, State state) const
+{
+    const auto id = static_cast<std::size_t>(machine_id);
+    return id < entries_.size() && entries_[id].state == state;
+}
+
+void
+ClusterScheduler::setState(Entry& entry, State state)
+{
+    routed_ += state == State::kRouted;
+    routed_ -= entry.state == State::kRouted;
+    standby_ += state == State::kStandby;
+    standby_ -= entry.state == State::kStandby;
+    entry.state = state;
 }
 
 void
 ClusterScheduler::markFailed(int machine_id)
 {
-    const auto it = entries_.find(machine_id);
-    if (it != entries_.end()) {
-        lost_.insert(*it);
-        entries_.erase(it);
-    } else {
-        // A machine can crash while retired to standby (draining or
-        // parked); it still needs to be parked for rejoin().
-        const auto sit = standby_.find(machine_id);
-        if (sit == standby_.end())
-            return;
-        lost_.insert(*sit);
-        standby_.erase(sit);
-    }
+    // A machine can crash while retired to standby (draining or
+    // parked); it still needs to be parked for rejoin().
+    Entry& e = at(machine_id);
+    if (e.state == State::kLost)
+        return;
+    setState(e, State::kLost);
     // Routed machines can hit zero while standby still holds live
     // capacity - the owner must restore from standby immediately
     // (Cluster's emergency restore). Only a cluster with nothing
     // left anywhere is unrecoverable.
-    if (entries_.empty() && standby_.empty())
+    if (routed_ == 0 && standby_ == 0)
         sim::fatal("ClusterScheduler: every machine has failed");
 }
 
 void
 ClusterScheduler::rejoin(int machine_id)
 {
-    const auto it = lost_.find(machine_id);
-    if (it == lost_.end())
+    Entry& e = at(machine_id);
+    if (e.state != State::kLost)
         sim::fatal("ClusterScheduler::rejoin: machine was never lost");
-    Entry entry = it->second;
-    lost_.erase(it);
     // The machine comes back empty: restore its original identity
     // and drop any mixed-pool residue from before the crash.
-    entry.pool = entry.origin;
-    entry.mixedSince = 0;
-    entries_[machine_id] = entry;
+    e.pool = e.origin;
+    e.mixedSince = 0;
+    setState(e, State::kRouted);
     ++rejoins_;
     TELEM_INSTANT(trace_, telemetry::TraceRecorder::clusterTrack(), "rejoin",
                   simulator_.now(),
-                  {{"machine", machine_id},
-                   {"pool", poolTypeName(entry.pool)}});
+                  {{"machine", machine_id}, {"pool", poolTypeName(e.pool)}});
 }
 
 void
 ClusterScheduler::retire(int machine_id)
 {
-    const auto it = entries_.find(machine_id);
-    if (it == entries_.end())
+    Entry& e = at(machine_id);
+    if (e.state != State::kRouted)
         sim::fatal("ClusterScheduler::retire: machine is not routed");
-    if (entries_.size() == 1)
+    if (routed_ == 1)
         sim::fatal("ClusterScheduler::retire: last routed machine");
-    standby_.insert(*it);
-    entries_.erase(it);
+    setState(e, State::kStandby);
     ++retires_;
     TELEM_INSTANT(trace_, telemetry::TraceRecorder::clusterTrack(), "retire",
                   simulator_.now(), {{"machine", machine_id}});
@@ -100,26 +113,21 @@ ClusterScheduler::retire(int machine_id)
 void
 ClusterScheduler::restore(int machine_id)
 {
-    const auto it = standby_.find(machine_id);
-    if (it == standby_.end())
-        sim::fatal("ClusterScheduler::restore: machine is not in standby");
-    restore(machine_id, it->second.origin);
+    restore(machine_id, at(machine_id).origin);
 }
 
 void
 ClusterScheduler::restore(int machine_id, PoolType origin)
 {
-    const auto it = standby_.find(machine_id);
-    if (it == standby_.end())
+    Entry& e = at(machine_id);
+    if (e.state != State::kStandby)
         sim::fatal("ClusterScheduler::restore: machine is not in standby");
-    Entry entry = it->second;
-    standby_.erase(it);
     // The machine was drained before standby, so it re-enters with a
     // clean identity - possibly a new one (role flex).
-    entry.origin = origin;
-    entry.pool = origin;
-    entry.mixedSince = 0;
-    entries_[machine_id] = entry;
+    e.origin = origin;
+    e.pool = origin;
+    e.mixedSince = 0;
+    setState(e, State::kRouted);
     ++restores_;
     TELEM_INSTANT(trace_, telemetry::TraceRecorder::clusterTrack(), "restore",
                   simulator_.now(),
@@ -129,18 +137,17 @@ ClusterScheduler::restore(int machine_id, PoolType origin)
 bool
 ClusterScheduler::inStandby(int machine_id) const
 {
-    return standby_.count(machine_id) > 0;
+    return isIn(machine_id, State::kStandby);
 }
 
 int
 ClusterScheduler::anyStandby() const
 {
-    int best = -1;
-    for (const auto& [id, entry] : standby_) {
-        if (best < 0 || id < best)
-            best = id;
+    for (std::size_t id = 0; id < entries_.size(); ++id) {
+        if (entries_[id].state == State::kStandby)
+            return static_cast<int>(id);
     }
-    return best;
+    return -1;
 }
 
 void
@@ -163,8 +170,8 @@ std::size_t
 ClusterScheduler::poolSize(PoolType pool) const
 {
     std::size_t n = 0;
-    for (const auto& [id, entry] : entries_) {
-        if (entry.pool == pool)
+    for (const Entry& e : entries_) {
+        if (e.state == State::kRouted && e.pool == pool)
             ++n;
     }
     return n;
@@ -173,109 +180,85 @@ ClusterScheduler::poolSize(PoolType pool) const
 bool
 ClusterScheduler::contains(int machine_id) const
 {
-    return entries_.count(machine_id) > 0;
+    return isIn(machine_id, State::kRouted);
 }
 
 PoolType
 ClusterScheduler::poolOf(int machine_id) const
 {
-    const auto it = entries_.find(machine_id);
-    if (it != entries_.end())
-        return it->second.pool;
     // Standby and failed machines hold no routing pool; report their
     // remembered identity instead.
-    return originOf(machine_id);
+    const Entry& e = entries_.at(static_cast<std::size_t>(machine_id));
+    return e.state == State::kRouted ? e.pool : e.origin;
 }
 
 PoolType
 ClusterScheduler::originOf(int machine_id) const
 {
-    const auto it = entries_.find(machine_id);
-    if (it != entries_.end())
-        return it->second.origin;
-    const auto standby = standby_.find(machine_id);
-    if (standby != standby_.end())
-        return standby->second.origin;
-    return lost_.at(machine_id).origin;
+    return entries_.at(static_cast<std::size_t>(machine_id)).origin;
 }
 
+template <typename Ok, typename Load>
 engine::Machine*
-ClusterScheduler::pickRandom(std::vector<engine::Machine*>& eligible) const
-{
-    if (eligible.empty())
-        return nullptr;
-    const auto idx = static_cast<std::size_t>(routingRng_.uniformInt(
-        0, static_cast<std::int64_t>(eligible.size()) - 1));
-    return eligible[idx];
-}
-
-engine::Machine*
-ClusterScheduler::jsqPrompt(PoolType pool) const
-{
-    // A mixed-pool machine retains its identity (SIV-A): a prompt
-    // machine temporarily running tokens still takes prompt work.
-    engine::Machine* best = nullptr;
-    std::int64_t best_depth = std::numeric_limits<std::int64_t>::max();
-    std::vector<engine::Machine*> eligible;
-    for (const auto& [id, entry] : entries_) {
-        const bool ok =
-            entry.pool == pool ||
-            (pool == PoolType::kPrompt && entry.pool == PoolType::kMixed &&
-             entry.origin == PoolType::kPrompt);
-        if (!ok)
-            continue;
-        if (config_.routing == RoutingPolicy::kRandom) {
-            eligible.push_back(entry.machine);
-            continue;
-        }
-        const std::int64_t depth = entry.machine->promptQueueDepthTokens();
-        if (depth < best_depth) {
-            best_depth = depth;
-            best = entry.machine;
-        }
-    }
-    if (config_.routing == RoutingPolicy::kRandom)
-        return pickRandom(eligible);
-    return best;
-}
-
-engine::Machine*
-ClusterScheduler::jsqToken(PoolType pool) const
+ClusterScheduler::leastLoaded(Ok ok, Load load) const
 {
     engine::Machine* best = nullptr;
     std::int64_t best_load = std::numeric_limits<std::int64_t>::max();
-    std::vector<engine::Machine*> eligible;
-    for (const auto& [id, entry] : entries_) {
-        const bool ok =
-            entry.pool == pool ||
-            (pool == PoolType::kToken && entry.pool == PoolType::kMixed &&
-             entry.origin == PoolType::kToken);
-        if (!ok)
+    for (const Entry& e : entries_) {
+        if (e.state != State::kRouted || !ok(e))
             continue;
-        if (config_.routing == RoutingPolicy::kRandom) {
-            eligible.push_back(entry.machine);
-            continue;
-        }
-        const std::int64_t load = entry.machine->tokenLoadTokens();
-        if (load < best_load) {
-            best_load = load;
-            best = entry.machine;
+        const std::int64_t l = load(*e.machine);
+        if (l < best_load) {
+            best_load = l;
+            best = e.machine;
         }
     }
-    if (config_.routing == RoutingPolicy::kRandom)
-        return pickRandom(eligible);
     return best;
+}
+
+template <typename Ok, typename Load>
+engine::Machine*
+ClusterScheduler::pick(Ok ok, Load load) const
+{
+    if (config_.routing == RoutingPolicy::kJsq)
+        return leastLoaded(ok, load);
+    std::int64_t eligible = 0;
+    for (const Entry& e : entries_)
+        eligible += e.state == State::kRouted && ok(e);
+    if (eligible == 0)
+        return nullptr;
+    std::int64_t k = routingRng_.uniformInt(0, eligible - 1);
+    for (const Entry& e : entries_) {
+        if (e.state == State::kRouted && ok(e) && k-- == 0)
+            return e.machine;
+    }
+    return nullptr;
+}
+
+engine::Machine*
+ClusterScheduler::pickIn(PoolType pool, PoolType phase) const
+{
+    const bool prompt = phase == PoolType::kPrompt;
+    return pick(
+        [pool, phase](const Entry& e) {
+            return e.pool == pool ||
+                   (pool == phase && e.pool == PoolType::kMixed &&
+                    e.origin == phase);
+        },
+        [prompt](const engine::Machine& m) {
+            return prompt ? m.promptQueueDepthTokens() : m.tokenLoadTokens();
+        });
 }
 
 void
 ClusterScheduler::moveToPool(int machine_id, PoolType pool)
 {
-    Entry& entry = entries_.at(machine_id);
-    if (entry.pool == pool)
+    Entry& e = at(machine_id);
+    if (e.pool == pool)
         return;
-    entry.pool = pool;
+    e.pool = pool;
     if (pool == PoolType::kMixed)
-        entry.mixedSince = simulator_.now();
+        e.mixedSince = simulator_.now();
     ++poolTransitions_;
     TELEM_INSTANT(trace_, telemetry::TraceRecorder::clusterTrack(),
                   "pool_transition", simulator_.now(),
@@ -302,23 +285,20 @@ ClusterScheduler::tokenOverloaded(const engine::Machine& m) const
     // latency-efficient batch range the machine counts as full even
     // with KV memory to spare.
     const auto pending = static_cast<int>(m.mls().blocks().residents());
-    const int limit = config_.tokenSloTbtMs > 0.0
-                          ? m.maxBatchWithinTbt(config_.tokenSloTbtMs)
-                          : config_.tokenOverflowResidents;
-    return pending > limit;
+    return pending > m.maxBatchWithinTbt(config_.tokenSloTbtMs);
 }
 
 engine::Machine*
 ClusterScheduler::pickPromptMachine(bool& local_decode)
 {
     local_decode = false;
-    engine::Machine* best = jsqPrompt(PoolType::kPrompt);
+    engine::Machine* best = pickIn(PoolType::kPrompt, PoolType::kPrompt);
     if (best && !promptOverloaded(*best))
         return best;
 
     // Overflow: consult the mixed pool; a mixed machine serves the
     // request like a non-Splitwise machine, both phases local.
-    engine::Machine* mixed = jsqPrompt(PoolType::kMixed);
+    engine::Machine* mixed = pickIn(PoolType::kMixed, PoolType::kPrompt);
     if (mixed && !promptOverloaded(*mixed)) {
         local_decode = true;
         ++mixedRoutes_;
@@ -326,7 +306,7 @@ ClusterScheduler::pickPromptMachine(bool& local_decode)
     }
 
     // Mixed pool full too: pull the least-loaded token machine in.
-    engine::Machine* pulled = jsqPrompt(PoolType::kToken);
+    engine::Machine* pulled = pickIn(PoolType::kToken, PoolType::kPrompt);
     if (pulled) {
         moveToPool(pulled->id(), PoolType::kMixed);
         local_decode = true;
@@ -339,17 +319,17 @@ ClusterScheduler::pickPromptMachine(bool& local_decode)
 engine::Machine*
 ClusterScheduler::pickTokenMachine()
 {
-    engine::Machine* best = jsqToken(PoolType::kToken);
+    engine::Machine* best = pickIn(PoolType::kToken, PoolType::kToken);
     if (best && !tokenOverloaded(*best))
         return best;
 
-    engine::Machine* mixed = jsqToken(PoolType::kMixed);
+    engine::Machine* mixed = pickIn(PoolType::kMixed, PoolType::kToken);
     if (mixed && !tokenOverloaded(*mixed)) {
         ++mixedRoutes_;
         return mixed;
     }
 
-    engine::Machine* pulled = jsqToken(PoolType::kPrompt);
+    engine::Machine* pulled = pickIn(PoolType::kPrompt, PoolType::kToken);
     if (pulled) {
         moveToPool(pulled->id(), PoolType::kMixed);
         ++mixedRoutes_;
@@ -365,32 +345,23 @@ ClusterScheduler::pickRecoveryTokenMachine()
     // a degraded state, so never pull a prompt machine into mixed
     // and never land a recovered decode on a failed or saturated
     // host - a nullptr falls back to a from-scratch restart instead.
-    engine::Machine* best = nullptr;
-    std::int64_t best_load = std::numeric_limits<std::int64_t>::max();
-    for (const auto& [id, entry] : entries_) {
-        engine::Machine* m = entry.machine;
-        if (m->failed())
-            continue;
-        const bool token_capable =
-            entry.pool == PoolType::kToken ||
-            entry.pool == PoolType::kMixed;
-        if (!token_capable || tokenOverloaded(*m))
-            continue;
-        const std::int64_t load = m->tokenLoadTokens();
-        if (load < best_load) {
-            best_load = load;
-            best = m;
-        }
-    }
-    return best;
+    return leastLoaded(
+        [this](const Entry& e) {
+            return (e.pool == PoolType::kToken ||
+                    e.pool == PoolType::kMixed) &&
+                   !e.machine->failed() && !tokenOverloaded(*e.machine);
+        },
+        [](const engine::Machine& m) { return m.tokenLoadTokens(); });
 }
 
 std::int64_t
 ClusterScheduler::queuedPromptTokens() const
 {
     std::int64_t total = 0;
-    for (const auto& [id, entry] : entries_)
-        total += entry.machine->promptQueueDepthTokens();
+    for (const Entry& e : entries_) {
+        if (e.state == State::kRouted)
+            total += e.machine->promptQueueDepthTokens();
+    }
     return total;
 }
 
@@ -411,6 +382,12 @@ ClusterScheduler::shouldShedRequest(const engine::LiveRequest& request) const
         return true;
     if (brownoutLevel_ >= 1 && request.spec.priority > 0)
         return true;
+    // A request whose final context outgrows the largest machine's
+    // KV could never finish anywhere: refuse it at admission.
+    const std::int64_t prompt = request.spec.promptTokens;
+    if (prompt > maxKvTokens_ ||
+        request.spec.outputTokens > maxKvTokens_ - prompt)
+        return true;
     return shouldShed();
 }
 
@@ -422,8 +399,7 @@ ClusterScheduler::affinityMachine(engine::LiveRequest* request)
     const int target = policy_->prepareRoute(*request);
     if (target < 0)
         return nullptr;
-    const auto it = entries_.find(target);
-    if (it == entries_.end() || it->second.machine->failed()) {
+    if (!contains(target) || at(target).machine->failed()) {
         // Stale directory entry: the machine crashed, retired, or
         // parked since the prefix was stored. The prefix can only be
         // pinned where it lives, so the hit degrades to a full
@@ -432,7 +408,7 @@ ClusterScheduler::affinityMachine(engine::LiveRequest* request)
         return nullptr;
     }
     policy_->noteAffinityRoute();
-    return it->second.machine;
+    return at(target).machine;
 }
 
 void
@@ -443,26 +419,14 @@ ClusterScheduler::routeBaseline(engine::LiveRequest* request)
         affinity->submitPrompt(request);
         return;
     }
-    engine::Machine* best = nullptr;
-    std::int64_t best_depth = std::numeric_limits<std::int64_t>::max();
-    std::vector<engine::Machine*> eligible;
-    for (const auto& [id, entry] : entries_) {
-        if (config_.routing == RoutingPolicy::kRandom) {
-            eligible.push_back(entry.machine);
-            continue;
-        }
-        // Pending tokens: queued prompt work plus one per active
-        // decode (a decode contributes one token per iteration).
-        const std::int64_t depth =
-            entry.machine->promptQueueDepthTokens() +
-            static_cast<std::int64_t>(entry.machine->mls().residentCount());
-        if (depth < best_depth) {
-            best_depth = depth;
-            best = entry.machine;
-        }
-    }
-    if (config_.routing == RoutingPolicy::kRandom)
-        best = pickRandom(eligible);
+    // Pending tokens: queued prompt work plus one per active decode
+    // (a decode contributes one token per iteration).
+    engine::Machine* best = pick(
+        [](const Entry&) { return true; },
+        [](const engine::Machine& m) {
+            return m.promptQueueDepthTokens() +
+                   static_cast<std::int64_t>(m.mls().residentCount());
+        });
     request->tokenMachine = best->id();
     best->submitPrompt(request);
 }
@@ -515,10 +479,9 @@ ClusterScheduler::onArrival(engine::LiveRequest* request, bool force_admit)
     // Brownout L2+: cap how much generation an admitted request may
     // demand. Applied at admission so the cap is part of the
     // request's contract for its whole lifetime.
-    if (!force_admit && brownoutLevel_ >= 2 &&
-        request->spec.outputTokens > config_.brownoutMaxOutputTokens) {
-        request->spec.outputTokens = config_.brownoutMaxOutputTokens;
-        ++cappedRequests_;
+    if (!force_admit && brownoutLevel_ >= 2) {
+        request->spec.outputTokens =
+            std::min(request->spec.outputTokens, kBrownoutMaxOutputTokens);
     }
     if (splitwise_)
         routeSplitwise(request);
@@ -530,29 +493,27 @@ ClusterScheduler::onArrival(engine::LiveRequest* request, bool force_admit)
 void
 ClusterScheduler::onIterationEnd(engine::Machine& machine)
 {
-    const auto it = entries_.find(machine.id());
-    if (it == entries_.end())
+    if (!contains(machine.id()))
         return;  // failed machine draining a stale event
-    Entry& entry = it->second;
-    if (entry.pool != PoolType::kMixed || entry.origin == PoolType::kMixed)
+    Entry& e = at(machine.id());
+    if (e.pool != PoolType::kMixed || e.origin == PoolType::kMixed)
         return;
 
     // Permanent re-purposing after a long mixed-pool stay (SIV-A).
     if (config_.repurposeAfterUs > 0 &&
-        simulator_.now() - entry.mixedSince > config_.repurposeAfterUs) {
-        entry.origin = entry.origin == PoolType::kPrompt ? PoolType::kToken
-                                                         : PoolType::kPrompt;
+        simulator_.now() - e.mixedSince > config_.repurposeAfterUs) {
+        e.origin = e.origin == PoolType::kPrompt ? PoolType::kToken
+                                                 : PoolType::kPrompt;
         ++repurposings_;
     }
 
     // A mixed-pool machine returns to its origin pool once it has no
     // tasks of the opposite kind left.
-    const bool opposite_drained =
-        entry.origin == PoolType::kPrompt
-            ? !machine.mls().hasDecodeWork()
-            : !machine.mls().hasPromptWork();
+    const bool opposite_drained = e.origin == PoolType::kPrompt
+                                      ? !machine.mls().hasDecodeWork()
+                                      : !machine.mls().hasPromptWork();
     if (opposite_drained)
-        moveToPool(machine.id(), entry.origin);
+        moveToPool(machine.id(), e.origin);
 }
 
 }  // namespace splitwise::core

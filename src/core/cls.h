@@ -2,7 +2,6 @@
 #define SPLITWISE_CORE_CLS_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/machine.h"
@@ -48,18 +47,11 @@ struct ClsConfig {
      */
     double tokenOverflowUtilization = 0.90;
     /**
-     * Resident/inbound decode count beyond which the best token
-     * machine is considered overloaded (its batch would exceed the
-     * latency-efficient range), triggering mixed-pool spillover.
-     * Used as a fallback when tokenSloTbtMs is unset.
-     */
-    int tokenOverflowResidents = 56;
-    /**
      * Per-request TBT bound (ms) defining each machine's
-     * latency-efficient decode capacity. When positive, a token
-     * machine overflows once its residents exceed the largest batch
-     * it can decode within this bound (machine-type aware). The
-     * Cluster derives it from the SLO reference by default.
+     * latency-efficient decode capacity: a token machine overflows
+     * once its residents exceed the largest batch it can decode
+     * within this bound (machine-type aware). Must be positive; the
+     * Cluster derives it from the SLO reference when left at 0.
      */
     double tokenSloTbtMs = 0.0;
     /**
@@ -75,13 +67,10 @@ struct ClsConfig {
      * are always admitted - the work was already accepted.
      */
     std::int64_t shedQueuedTokensBound = 0;
-    /**
-     * Brownout level 2+: output-token cap applied to newly admitted
-     * requests, bounding the generation work each one can demand
-     * while the cluster is degraded.
-     */
-    std::int64_t brownoutMaxOutputTokens = 256;
 };
+
+/** Brownout level 2+: output-token cap on newly admitted requests. */
+inline constexpr std::int64_t kBrownoutMaxOutputTokens = 256;
 
 /**
  * The cluster-level scheduler: routes each arriving request to a
@@ -90,6 +79,9 @@ struct ClsConfig {
  *
  * In baseline (non-Splitwise) mode every machine is standalone and
  * requests are routed whole to the least-loaded machine.
+ *
+ * Machine state is one table indexed by machine id (0..N-1), scanned
+ * in id order: JSQ ties go to the lowest id.
  */
 class ClusterScheduler {
   public:
@@ -106,8 +98,9 @@ class ClusterScheduler {
      *
      * @param force_admit Bypass admission control (failure-driven
      *     restarts of already-admitted work).
-     * @return false when admission control shed the request; the
-     *     caller marks it rejected.
+     * @return false when admission control shed the request (also
+     *     when its final context fits no machine's KV); the caller
+     *     marks it rejected.
      */
     bool onArrival(engine::LiveRequest* request, bool force_admit = false);
 
@@ -153,7 +146,7 @@ class ClusterScheduler {
     bool inStandby(int machine_id) const;
 
     /** Number of machines in controller standby. */
-    std::size_t standbySize() const { return standby_.size(); }
+    std::size_t standbySize() const { return standby_; }
 
     /** Smallest-id standby machine, or -1 when standby is empty. */
     int anyStandby() const;
@@ -209,9 +202,6 @@ class ClusterScheduler {
     /** Number of standby machines returned to routing. */
     std::uint64_t restores() const { return restores_; }
 
-    /** Number of admissions whose output length was brownout-capped. */
-    std::uint64_t cappedRequests() const { return cappedRequests_; }
-
     /** Machines currently assigned to @p pool (live only). */
     std::size_t poolSize(PoolType pool) const;
 
@@ -219,7 +209,7 @@ class ClusterScheduler {
     bool contains(int machine_id) const;
 
     /** Number of live (non-failed) machines across all pools. */
-    std::size_t liveMachines() const { return entries_.size(); }
+    std::size_t liveMachines() const { return routed_; }
 
     /**
      * Attach a trace recorder: shed/transition/rejoin instants land
@@ -244,17 +234,43 @@ class ClusterScheduler {
     void setPolicy(sched::Policy* policy) { policy_ = policy; }
 
   private:
+    /** Routing state: in a pool, retired by the controller (draining
+     *  or parked), or failed and waiting for rejoin(). */
+    enum class State { kRouted, kStandby, kLost };
+
     struct Entry {
         engine::Machine* machine = nullptr;
         PoolType origin = PoolType::kPrompt;
         PoolType pool = PoolType::kPrompt;
         sim::TimeUs mixedSince = 0;
+        State state = State::kRouted;
     };
 
-    /** Least prompt-loaded machine currently in @p pool with the
-     *  given origin filter (nullptr filter = any). */
-    engine::Machine* jsqPrompt(PoolType pool) const;
-    engine::Machine* jsqToken(PoolType pool) const;
+    /** The entry of machine @p id; std::out_of_range if unknown. */
+    Entry& at(int id) { return entries_.at(static_cast<std::size_t>(id)); }
+
+    /** True when @p machine_id is a known machine in @p state. */
+    bool isIn(int machine_id, State state) const;
+
+    /** Flip a machine's routing state, keeping the counts. */
+    void setState(Entry& entry, State state);
+
+    /** Routed machine passing @p ok with the least @p load (ties to
+     *  the lowest id); nullptr when none passes. */
+    template <typename Ok, typename Load>
+    engine::Machine* leastLoaded(Ok ok, Load load) const;
+
+    /** leastLoaded() under JSQ; under kRandom, one uniform draw over
+     *  the routed machines passing @p ok. */
+    template <typename Ok, typename Load>
+    engine::Machine* pick(Ok ok, Load load) const;
+
+    /**
+     * pick() among the machines taking @p phase work in @p pool, by
+     * that phase's load. A mixed-pool machine retains its identity
+     * (SIV-A): a prompt machine running tokens still takes prompts.
+     */
+    engine::Machine* pickIn(PoolType pool, PoolType phase) const;
 
     void moveToPool(int machine_id, PoolType pool);
 
@@ -286,20 +302,17 @@ class ClusterScheduler {
     /** Pick the token-phase machine, spilling symmetrically. */
     engine::Machine* pickTokenMachine();
 
-    /** Uniform-random pick among eligible machines (kRandom). */
-    engine::Machine* pickRandom(std::vector<engine::Machine*>& eligible) const;
-
     sim::Simulator& simulator_;
     ClsConfig config_;
     bool splitwise_;
     mutable sim::Rng routingRng_{1};
-    std::unordered_map<int, Entry> entries_;
-    /** Entries of currently-failed machines, parked for rejoin(). */
-    std::unordered_map<int, Entry> lost_;
-    /** Entries retired from routing by the controller (draining or
-     *  parked machines), waiting for restore(). */
-    std::unordered_map<int, Entry> standby_;
-    std::vector<int> machineIds_;
+    /** Every machine, indexed by id. */
+    std::vector<Entry> entries_;
+    /** Machines in State::kRouted and in State::kStandby. */
+    std::size_t routed_ = 0;
+    std::size_t standby_ = 0;
+    /** KV token capacity of the largest machine. */
+    std::int64_t maxKvTokens_ = 0;
     int brownoutLevel_ = 0;
     std::uint64_t mixedRoutes_ = 0;
     std::uint64_t poolTransitions_ = 0;
@@ -308,7 +321,6 @@ class ClusterScheduler {
     std::uint64_t rejoins_ = 0;
     std::uint64_t retires_ = 0;
     std::uint64_t restores_ = 0;
-    std::uint64_t cappedRequests_ = 0;
     telemetry::TraceRecorder* trace_ = nullptr;
     telemetry::SpanTracker* spans_ = nullptr;
     sched::Policy* policy_ = nullptr;

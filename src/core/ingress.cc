@@ -19,10 +19,9 @@ struct InspectDone {
     void
     signal()
     {
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            done = true;
-        }
+        // Notify under the lock: the waiter destroys *this once woken.
+        std::lock_guard<std::mutex> lock(mu);
+        done = true;
         cv.notify_all();
     }
 
@@ -118,7 +117,9 @@ Ingress::inspect(const std::function<void(const Cluster&)>& fn)
     sim::Clock* clock = nullptr;
     {
         std::lock_guard<std::mutex> lock(mu_);
-        if (state_ != State::kServing)
+        // Queued before serving starts, the op is answered by the
+        // serve loop's first drain, like a queued submission.
+        if (state_ == State::kDone)
             return false;
         Op op;
         op.kind = Op::Kind::kInspect;

@@ -205,10 +205,10 @@ class Ingress {
     /**
      * Run @p fn against the serving cluster at its next quiescent
      * point, blocking until it completes — the race-free way to
-     * snapshot metrics from another thread.
+     * snapshot metrics from another thread. Called before the serve
+     * loop starts, it waits for the loop's first quiescent point.
      *
-     * @return false (without running @p fn) when no serve loop is
-     *     active to execute it.
+     * @return false (without running @p fn) once serving has ended.
      */
     bool inspect(const std::function<void(const Cluster&)>& fn);
 

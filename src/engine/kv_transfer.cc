@@ -21,8 +21,15 @@ KvTransferEngine::KvTransferEngine(sim::Simulator& simulator,
 void
 KvTransferEngine::registerMachine(Machine* machine)
 {
-    machines_[machine->id()] = machine;
-    nicFreeAt_.emplace(machine->id(), 0);
+    if (machine->id() != static_cast<int>(ports_.size()))
+        sim::fatal("KvTransferEngine: register machines in id order");
+    ports_.emplace_back().machine = machine;
+}
+
+KvTransferEngine::Port&
+KvTransferEngine::port(int machine_id)
+{
+    return ports_.at(static_cast<std::size_t>(machine_id));
 }
 
 void
@@ -31,7 +38,7 @@ KvTransferEngine::injectLinkFault(int machine_id, sim::TimeUs from,
 {
     if (until <= from)
         sim::fatal("KvTransferEngine::injectLinkFault: empty window");
-    linkWindows_[machine_id].push_back({from, until, 0.0});
+    port(machine_id).linkWindows.push_back({from, until, 0.0});
 }
 
 void
@@ -43,19 +50,16 @@ KvTransferEngine::injectLinkDegrade(int machine_id, sim::TimeUs from,
     if (bandwidth_factor <= 0.0 || bandwidth_factor > 1.0)
         sim::fatal("KvTransferEngine::injectLinkDegrade: factor must be "
                    "in (0, 1]");
-    linkWindows_[machine_id].push_back({from, until, bandwidth_factor});
+    port(machine_id).linkWindows.push_back({from, until, bandwidth_factor});
 }
 
 double
-KvTransferEngine::degradeFactorAt(int src_id, int dst_id,
-                                  sim::TimeUs at) const
+KvTransferEngine::degradeFactorAt(const Port& src, const Port& dst,
+                                  sim::TimeUs at)
 {
     double factor = 1.0;
-    for (int id : {src_id, dst_id}) {
-        const auto it = linkWindows_.find(id);
-        if (it == linkWindows_.end())
-            continue;
-        for (const LinkWindow& w : it->second) {
+    for (const Port* p : {&src, &dst}) {
+        for (const LinkWindow& w : p->linkWindows) {
             if (w.factor > 0.0 && w.from <= at && at < w.until)
                 factor = std::min(factor, w.factor);
         }
@@ -64,14 +68,11 @@ KvTransferEngine::degradeFactorAt(int src_id, int dst_id,
 }
 
 bool
-KvTransferEngine::linkFaultIn(int src_id, int dst_id, sim::TimeUs start,
-                              sim::TimeUs end) const
+KvTransferEngine::linkFaultIn(const Port& src, const Port& dst,
+                              sim::TimeUs start, sim::TimeUs end)
 {
-    for (int id : {src_id, dst_id}) {
-        const auto it = linkWindows_.find(id);
-        if (it == linkWindows_.end())
-            continue;
-        for (const LinkWindow& w : it->second) {
+    for (const Port* p : {&src, &dst}) {
+        for (const LinkWindow& w : p->linkWindows) {
             if (w.factor == 0.0 && w.from < end && start < w.until)
                 return true;
         }
@@ -99,10 +100,10 @@ sim::TimeUs
 KvTransferEngine::interferenceFor(Machine& src, LiveRequest* request,
                                   sim::TimeUs prompt_compute)
 {
-    const auto dst_it = machines_.find(request->tokenMachine);
-    if (dst_it == machines_.end())
+    const auto dst = static_cast<std::size_t>(request->tokenMachine);
+    if (dst >= ports_.size())
         return 0;
-    const auto& model = modelFor(src, *dst_it->second);
+    const auto& model = modelFor(src, *ports_[dst].machine);
     if (!model.useLayerwise(request->spec.promptTokens))
         return 0;
     return model.layerwiseInterference(request->spec.promptTokens,
@@ -146,9 +147,9 @@ KvTransferEngine::startTransfer(LiveRequest* request, Machine* src,
                       {{"dst", dst->id()}});
         TELEM_REQ_PHASE(spans_, request->spec.id,
                         telemetry::SpanPhase::kKvStall, simulator_.now());
-        waiting_[dst->id()].push_back({request, src, prompt_compute,
-                                       request->restartEpoch,
-                                       std::move(done)});
+        port(dst->id()).waiting.push_back({request, src, prompt_compute,
+                                           request->restartEpoch,
+                                           std::move(done)});
         return;
     }
     launch(request, src, dst, prompt_compute, std::move(done));
@@ -166,12 +167,13 @@ KvTransferEngine::launch(LiveRequest* request, Machine* src, Machine* dst,
     const auto& model = modelFor(*src, *dst);
     const auto plan = model.plan(request->spec.promptTokens, prompt_compute);
 
-    const sim::TimeUs now = simulator_.now();
-    const sim::TimeUs start =
-        std::max({now, nicFreeAt_[src->id()], nicFreeAt_[dst->id()]});
+    Port& src_port = port(src->id());
+    Port& dst_port = port(dst->id());
+    const sim::TimeUs start = std::max(
+        {simulator_.now(), src_port.nicFreeAt, dst_port.nicFreeAt});
 
     sim::TimeUs visible = plan.visibleUs;
-    const double factor = degradeFactorAt(src->id(), dst->id(), start);
+    const double factor = degradeFactorAt(src_port, dst_port, start);
     if (factor < 1.0) {
         visible = static_cast<sim::TimeUs>(
             static_cast<double>(visible) / factor);
@@ -185,9 +187,9 @@ KvTransferEngine::launch(LiveRequest* request, Machine* src, Machine* dst,
     const sim::TimeUs end =
         start + (timed_out ? retry_.timeoutUs : visible);
     const bool faulted =
-        !timed_out && linkFaultIn(src->id(), dst->id(), start, end);
-    nicFreeAt_[src->id()] = end;
-    nicFreeAt_[dst->id()] = end;
+        !timed_out && linkFaultIn(src_port, dst_port, start, end);
+    src_port.nicFreeAt = end;
+    dst_port.nicFreeAt = end;
 
     const bool succeeds = !timed_out && !faulted;
     if (succeeds) {
@@ -315,37 +317,35 @@ std::size_t
 KvTransferEngine::waitingTransfers() const
 {
     std::size_t n = 0;
-    for (const auto& [id, queue] : waiting_)
-        n += queue.size();
+    for (const Port& p : ports_)
+        n += p.waiting.size();
     return n;
 }
 
 void
 KvTransferEngine::onMemoryFreed(Machine* dst)
 {
-    auto it = waiting_.find(dst->id());
-    if (it == waiting_.end())
-        return;
+    std::vector<Pending>& queue = port(dst->id()).waiting;
     if (dst->failed()) {
-        waiting_.erase(it);
+        queue.clear();
         return;
     }
-    auto& queue = it->second;
-    while (!queue.empty()) {
-        Pending& head = queue.front();
-        if (head.request->restartEpoch != head.epoch) {
+    std::size_t head = 0;
+    for (; head < queue.size(); ++head) {
+        Pending& pending = queue[head];
+        if (pending.request->restartEpoch != pending.epoch) {
             // Restarted after a failure; the new incarnation is
             // routed elsewhere.
-            queue.pop_front();
             continue;
         }
-        if (!dst->reserveKv(head.request, head.request->contextTokens() + 1))
+        if (!dst->reserveKv(pending.request,
+                            pending.request->contextTokens() + 1))
             break;
-        Pending pending = std::move(head);
-        queue.pop_front();
         launch(pending.request, pending.src, dst, pending.promptCompute,
                std::move(pending.done));
     }
+    queue.erase(queue.begin(),
+                queue.begin() + static_cast<std::ptrdiff_t>(head));
 }
 
 }  // namespace splitwise::engine

@@ -2,10 +2,8 @@
 #define SPLITWISE_ENGINE_KV_TRANSFER_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "engine/machine.h"
@@ -92,13 +90,12 @@ class KvTransferEngine {
                      std::int64_t layerwise_threshold_tokens = 512,
                      double compression_ratio = 1.0);
 
-    /** Make a machine addressable as a transfer endpoint. */
+    /** Make a machine addressable as a transfer endpoint. Machines
+     *  register in id order, 0..N-1. */
     void registerMachine(Machine* machine);
 
     /** Install the transient-fault retry policy. */
     void setRetryPolicy(KvRetryPolicy policy) { retry_ = policy; }
-
-    const KvRetryPolicy& retryPolicy() const { return retry_; }
 
     /**
      * Install the owner's give-up hook. The request's source-side and
@@ -173,6 +170,20 @@ class KvTransferEngine {
         double factor = 0.0;
     };
 
+    /** One machine's transfer endpoint. */
+    struct Port {
+        Machine* machine = nullptr;
+        /** When the NIC finishes its current transfer. */
+        sim::TimeUs nicFreeAt = 0;
+        /** Injected fault/degradation windows. */
+        std::vector<LinkWindow> linkWindows;
+        /** Transfers waiting for this destination's memory, FIFO. */
+        std::vector<Pending> waiting;
+    };
+
+    /** The port of @p machine_id; std::out_of_range if unknown. */
+    Port& port(int machine_id);
+
     /** Transfer model for a machine pair (cached per spec pair). */
     const model::TransferModel& modelFor(const Machine& src,
                                          const Machine& dst);
@@ -185,12 +196,13 @@ class KvTransferEngine {
 
     /** Slowest degraded-bandwidth factor covering @p at on either
      *  endpoint; 1.0 when undegraded. */
-    double degradeFactorAt(int src_id, int dst_id, sim::TimeUs at) const;
+    static double degradeFactorAt(const Port& src, const Port& dst,
+                                  sim::TimeUs at);
 
     /** True when a fault window on either endpoint overlaps
      *  [start, end). */
-    bool linkFaultIn(int src_id, int dst_id, sim::TimeUs start,
-                     sim::TimeUs end) const;
+    static bool linkFaultIn(const Port& src, const Port& dst,
+                            sim::TimeUs start, sim::TimeUs end);
 
     /** A failed attempt: retry after backoff or abort. */
     void handleAttemptFailure(LiveRequest* request, Machine* src,
@@ -206,16 +218,11 @@ class KvTransferEngine {
     double compressionRatio_;
     KvRetryPolicy retry_;
     AbortCallback onAbort_;
-    std::unordered_map<int, Machine*> machines_;
-    /** NIC availability per machine id. */
-    std::unordered_map<int, sim::TimeUs> nicFreeAt_;
-    /** Injected fault/degradation windows per machine id. */
-    std::unordered_map<int, std::vector<LinkWindow>> linkWindows_;
+    /** Registered endpoints, indexed by machine id. */
+    std::vector<Port> ports_;
     /** Cached transfer models keyed by (src spec, dst spec) names. */
     std::map<std::pair<std::string, std::string>, model::TransferModel>
         models_;
-    /** Transfers waiting for destination memory, per machine id. */
-    std::unordered_map<int, std::deque<Pending>> waiting_;
     Stats stats_;
     telemetry::TraceRecorder* trace_ = nullptr;
     telemetry::SpanTracker* spans_ = nullptr;

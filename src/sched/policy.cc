@@ -105,9 +105,7 @@ PrefixCachePolicy::PrefixCachePolicy(const PolicyConfig& config)
 void
 PrefixCachePolicy::bind(const std::vector<engine::Machine*>& machines)
 {
-    machines_.clear();
-    for (engine::Machine* machine : machines)
-        machines_.emplace(machine->id(), machine);
+    machines_ = machines;
 }
 
 int
@@ -122,14 +120,8 @@ PrefixCachePolicy::prepareRoute(engine::LiveRequest& request)
         ++stats_.directoryMisses;
         return -1;
     }
-    const auto machine = machines_.find(it->second);
-    if (machine == machines_.end()) {
-        ++stats_.directoryMisses;
-        directory_.erase(it);
-        return -1;
-    }
-    const std::int64_t cached =
-        machine->second->mls().blocks().lookupPrefix(session);
+    engine::Machine* machine = machines_[static_cast<std::size_t>(it->second)];
+    const std::int64_t cached = machine->mls().blocks().lookupPrefix(session);
     if (cached == 0) {
         // Evicted (or wiped by a crash the failure hook has not seen,
         // e.g. a recovered machine): forget the session.

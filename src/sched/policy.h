@@ -176,7 +176,8 @@ class PrefixCachePolicy final : public Policy {
 
   private:
     PolicyConfig config_;
-    std::unordered_map<int, engine::Machine*> machines_;
+    /** The bound machines, indexed by id. */
+    std::vector<engine::Machine*> machines_;
     /** session → machine id that holds its cached prefix. */
     std::unordered_map<std::uint64_t, int> directory_;
 };

@@ -148,15 +148,13 @@ HttpServer::stop()
     ::close(listenFd_);
     listenFd_ = -1;
 
-    std::vector<std::thread> conns;
+    std::list<Connection> conns;
     {
         std::lock_guard<std::mutex> lock(connMu_);
         conns.swap(connections_);
     }
-    for (std::thread& t : conns) {
-        if (t.joinable())
-            t.join();
-    }
+    for (Connection& conn : conns)
+        conn.thread.join();
 }
 
 void
@@ -172,7 +170,18 @@ HttpServer::acceptLoop()
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
         std::lock_guard<std::mutex> lock(connMu_);
-        connections_.emplace_back([this, fd] { handleConnection(fd); });
+        // A finished thread has only its exit left: the join is quick.
+        connections_.remove_if([](Connection& c) {
+            if (c.finished)
+                c.thread.join();
+            return c.finished;
+        });
+        Connection& conn = connections_.emplace_back();
+        conn.thread = std::thread([this, fd, &conn] {
+            handleConnection(fd);
+            std::lock_guard<std::mutex> done(connMu_);
+            conn.finished = true;
+        });
     }
 }
 

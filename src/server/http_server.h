@@ -16,10 +16,10 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 namespace splitwise::server {
 
@@ -92,6 +92,12 @@ class HttpServer {
     void stop();
 
   private:
+    /** One connection thread; finished is guarded by connMu_. */
+    struct Connection {
+        std::thread thread;
+        bool finished = false;
+    };
+
     void acceptLoop();
     void handleConnection(int fd);
 
@@ -101,7 +107,9 @@ class HttpServer {
     std::atomic<bool> stopping_{false};
     std::thread acceptThread_;
     std::mutex connMu_;
-    std::vector<std::thread> connections_;
+    /** Live connections; finished ones are joined at the next
+     *  accept, so a long-lived server does not accumulate threads. */
+    std::list<Connection> connections_;
 };
 
 }  // namespace splitwise::server

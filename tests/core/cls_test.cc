@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "core/cluster.h"
 #include "core/designs.h"
@@ -268,6 +270,58 @@ TEST(ClsTest, FailedWhileMixedRejoinsOriginPool)
     // Every machine drained back to its origin pool.
     for (int id = 0; id < 4; ++id)
         EXPECT_EQ(cls.poolOf(id), cls.originOf(id)) << "machine " << id;
+}
+
+/** Per-machine (prompt tokens processed, tokens generated) after a
+ *  run: with requests of distinct sizes, this pins where each landed. */
+std::vector<std::pair<std::int64_t, std::int64_t>>
+placement(const Cluster& cluster)
+{
+    std::vector<std::pair<std::int64_t, std::int64_t>> out;
+    for (const auto& m : cluster.machines())
+        out.emplace_back(m->stats().promptTokensProcessed,
+                         m->stats().tokensGenerated);
+    return out;
+}
+
+TEST(ClsTest, RoutingIgnoresRetireRestoreAndRejoinHistory)
+{
+    // Arrivals 1 s apart each find every machine idle, so every JSQ
+    // decision is a full tie. Distinct prompt sizes make the
+    // per-machine totals a fingerprint of where each request ran.
+    workload::Trace trace;
+    for (int i = 0; i < 24; ++i) {
+        trace.push_back({static_cast<std::uint64_t>(i),
+                         sim::secondsToUs(i), 100 + 7 * i, 3 + i % 4});
+    }
+    for (const RoutingPolicy routing :
+         {RoutingPolicy::kJsq, RoutingPolicy::kRandom}) {
+        SimConfig config;
+        config.cls.routing = routing;
+        config.cls.routingSeed = 7;
+        Cluster fresh(model::llama2_70b(), splitwiseHH(3, 3), config);
+        Cluster cycled(model::llama2_70b(), splitwiseHH(3, 3), config);
+        auto& cls = cycled.scheduler();
+        cls.retire(0);
+        cls.restore(0);
+        cls.markFailed(1);
+        cls.rejoin(1);
+        fresh.run(trace);
+        cycled.run(trace);
+        EXPECT_EQ(placement(fresh), placement(cycled))
+            << (routing == RoutingPolicy::kJsq ? "jsq" : "random");
+        if (routing == RoutingPolicy::kJsq) {
+            // Ties go to the lowest id: prompt machine 0, token
+            // machine 3 take every request.
+            const auto jsq = placement(cycled);
+            for (std::size_t id : {1u, 2u, 4u, 5u}) {
+                EXPECT_EQ(jsq[id].first, 0) << "machine " << id;
+                EXPECT_EQ(jsq[id].second, 0) << "machine " << id;
+            }
+            EXPECT_GT(jsq[0].first, 0);
+            EXPECT_GT(jsq[3].second, 0);
+        }
+    }
 }
 
 TEST(ClsTest, BaselineRoutesWholeRequestsByLoad)

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -223,21 +224,36 @@ TEST(IngressTest, InspectSeesTheLiveCluster)
         serve.ingress().submit(request(128, 3), log.callback());
     ASSERT_TRUE(handle.valid());
     // The serve thread may not have entered its loop yet; inspect
-    // reports false until it does, so spin until it lands.
-    bool ran = false;
-    while (!ran) {
-        ran = serve.ingress().inspect([](const Cluster& cluster) {
-            EXPECT_GE(cluster.metrics().names().size(), 1u);
-        });
-        if (!ran)
-            std::this_thread::yield();
-    }
-    EXPECT_TRUE(ran);
+    // then waits for the loop instead of reporting false.
+    EXPECT_TRUE(serve.ingress().inspect([](const Cluster& cluster) {
+        EXPECT_GE(cluster.metrics().names().size(), 1u);
+    }));
     awaitTerminal(log);
     (void)handle.detach();
     serve.finish();
     // After the loop exits, inspect reports no serving.
     EXPECT_FALSE(serve.ingress().inspect([](const Cluster&) {}));
+}
+
+TEST(IngressTest, InspectBeforeServingIsAnsweredOnceServingBegins)
+{
+    // A client can reach the Ingress before the serve loop starts
+    // (an HTTP port opens first). Its inspect must wait for the loop,
+    // not fail.
+    Cluster cluster(model::llama2_70b(), splitwiseHH(1, 1));
+    Ingress ingress;
+    sim::SimClock clock;
+    std::atomic<bool> ran{false};
+    std::thread inspector([&] {
+        EXPECT_TRUE(ingress.inspect([&](const Cluster&) { ran = true; }));
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    EXPECT_FALSE(ran.load());
+    std::thread serving([&] { cluster.serve(ingress, clock); });
+    inspector.join();
+    EXPECT_TRUE(ran.load());
+    ingress.shutdown();
+    serving.join();
 }
 
 TEST(IngressTest, ConservationAcrossManyRequests)

@@ -59,10 +59,18 @@ class ServerFixture : public ::testing::Test {
     void
     TearDown() override
     {
-        ingress_.shutdown();
-        serveThread_.join();
+        drain();
         http_->stop();
         EXPECT_EQ(ingress_.unresolved(), 0u);
+    }
+
+    /** Stop admissions and wait for the serve loop to finish. */
+    void
+    drain()
+    {
+        ingress_.shutdown();
+        if (serveThread_.joinable())
+            serveThread_.join();
     }
 
     int port() { return http_->port(); }
@@ -171,6 +179,35 @@ TEST_F(ServerFixture, MetricsSnapshotIsServed)
     const core::JsonValue doc = core::JsonValue::parse(result.body);
     EXPECT_TRUE(doc.has("simulated_us"));
     EXPECT_TRUE(doc.has("metrics"));
+}
+
+TEST_F(ServerFixture, OversizedRequestsAreRejectedNotFatal)
+{
+    // Either body's final context outgrows every machine's KV. Each
+    // must come back as a terminal rejected record, and the server
+    // must keep serving.
+    for (const char* body :
+         {"{\"prompt_tokens\": 100000000, \"output_tokens\": 1}",
+          "{\"prompt_tokens\": 10, \"output_tokens\": 100000000}"}) {
+        const HttpResult result =
+            httpRequest(port(), "POST", "/v1/completions", body);
+        ASSERT_EQ(result.status, 200) << body;
+        const core::JsonValue record = core::JsonValue::parse(result.body);
+        EXPECT_TRUE(record.has("rejected")) << result.body;
+    }
+    const HttpResult ok = httpRequest(port(), "POST", "/v1/completions",
+                                      "{\"prompt_tokens\": 64, "
+                                      "\"output_tokens\": 2}");
+    ASSERT_EQ(ok.status, 200);
+    const std::string last =
+        ok.body.substr(ok.body.rfind('\n', ok.body.size() - 2) + 1);
+    EXPECT_TRUE(core::JsonValue::parse(last).at("finished").asBool())
+        << ok.body;
+
+    drain();
+    EXPECT_EQ(ingress_.rejectedByAdmission(), 2u);
+    EXPECT_EQ(ingress_.completed(), 1u);
+    EXPECT_EQ(ingress_.unresolved(), 0u);  // leaked=0
 }
 
 TEST_F(ServerFixture, ShutdownDrainsAndRejectsNewWork)
