@@ -97,39 +97,34 @@ main(int argc, char** argv)
                                             short_run ? 20.0 : 60.0);
         const auto report = core::run(bench::cliRunOptions(
             model::llama2_70b(), design, trace, config));
-        if (!report.breakdown.enabled) {
-            std::printf("span tracking unavailable "
-                        "(SPLITWISE_TELEMETRY=OFF build); skipped\n");
-        } else {
-            const telemetry::LatencyBreakdown& b = report.breakdown;
-            Table phases({"phase", "requests", "total (s)", "share (%)",
-                          "mean (ms)", "p50 (ms)", "p99 (ms)", "max (ms)"});
-            for (const auto& p : b.phases) {
-                if (p.requests == 0)
-                    continue;
-                phases.addRow(
-                    {telemetry::spanPhaseName(p.phase),
-                     std::to_string(p.requests),
-                     Table::fmt(p.totalMs / 1e3),
-                     Table::fmt(100.0 * p.totalMs / b.e2eTotalMs),
-                     Table::fmt(p.meanMs), Table::fmt(p.p50Ms),
-                     Table::fmt(p.p99Ms), Table::fmt(p.maxMs)});
-            }
-            phases.print();
-            const double drift =
-                std::abs(b.attributedTotalMs - b.e2eTotalMs) /
-                (b.e2eTotalMs > 0.0 ? b.e2eTotalMs : 1.0);
-            std::printf("attributed %.3f s of %.3f s E2E across %zu "
-                        "requests (drift %.4f%%)\n",
-                        b.attributedTotalMs / 1e3, b.e2eTotalMs / 1e3,
-                        b.requests, 100.0 * drift);
-            if (drift > 0.005) {
-                sim::fatal("bench_fig05_latency: per-phase attribution "
-                           "drifted more than 0.5% from E2E");
-            }
-            std::printf("The gap above Fig. 5c's uncontended E2E is the "
-                        "queue/kv_transfer share.\n");
+        const telemetry::LatencyBreakdown& b = report.breakdown;
+        Table phases({"phase", "requests", "total (s)", "share (%)",
+                      "mean (ms)", "p50 (ms)", "p99 (ms)", "max (ms)"});
+        for (const auto& p : b.phases) {
+            if (p.requests == 0)
+                continue;
+            phases.addRow(
+                {telemetry::spanPhaseName(p.phase),
+                 std::to_string(p.requests),
+                 Table::fmt(p.totalMs / 1e3),
+                 Table::fmt(100.0 * p.totalMs / b.e2eTotalMs),
+                 Table::fmt(p.meanMs), Table::fmt(p.p50Ms),
+                 Table::fmt(p.p99Ms), Table::fmt(p.maxMs)});
         }
+        phases.print();
+        const double drift =
+            std::abs(b.attributedTotalMs - b.e2eTotalMs) /
+            (b.e2eTotalMs > 0.0 ? b.e2eTotalMs : 1.0);
+        std::printf("attributed %.3f s of %.3f s E2E across %zu "
+                    "requests (drift %.4f%%)\n",
+                    b.attributedTotalMs / 1e3, b.e2eTotalMs / 1e3,
+                    b.requests, 100.0 * drift);
+        if (drift > 0.005) {
+            sim::fatal("bench_fig05_latency: per-phase attribution "
+                       "drifted more than 0.5% from E2E");
+        }
+        std::printf("The gap above Fig. 5c's uncontended E2E is the "
+                    "queue/kv_transfer share.\n");
     }
     return 0;
 }

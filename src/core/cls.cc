@@ -91,9 +91,11 @@ ClusterScheduler::rejoin(int machine_id)
     e.mixedSince = 0;
     setState(e, State::kRouted);
     ++rejoins_;
-    TELEM_INSTANT(trace_, telemetry::TraceRecorder::clusterTrack(), "rejoin",
-                  simulator_.now(),
-                  {{"machine", machine_id}, {"pool", poolTypeName(e.pool)}});
+    if (trace_)
+        trace_->instant(
+            telemetry::TraceRecorder::clusterTrack(), "rejoin",
+            simulator_.now(),
+            {{"machine", machine_id}, {"pool", poolTypeName(e.pool)}});
 }
 
 void
@@ -106,8 +108,9 @@ ClusterScheduler::retire(int machine_id)
         sim::fatal("ClusterScheduler::retire: last routed machine");
     setState(e, State::kStandby);
     ++retires_;
-    TELEM_INSTANT(trace_, telemetry::TraceRecorder::clusterTrack(), "retire",
-                  simulator_.now(), {{"machine", machine_id}});
+    if (trace_)
+        trace_->instant(telemetry::TraceRecorder::clusterTrack(), "retire",
+                        simulator_.now(), {{"machine", machine_id}});
 }
 
 void
@@ -129,9 +132,11 @@ ClusterScheduler::restore(int machine_id, PoolType origin)
     e.mixedSince = 0;
     setState(e, State::kRouted);
     ++restores_;
-    TELEM_INSTANT(trace_, telemetry::TraceRecorder::clusterTrack(), "restore",
-                  simulator_.now(),
-                  {{"machine", machine_id}, {"pool", poolTypeName(origin)}});
+    if (trace_)
+        trace_->instant(
+            telemetry::TraceRecorder::clusterTrack(), "restore",
+            simulator_.now(),
+            {{"machine", machine_id}, {"pool", poolTypeName(origin)}});
 }
 
 bool
@@ -158,12 +163,11 @@ ClusterScheduler::setBrownoutLevel(int level)
     if (level == brownoutLevel_)
         return;
     brownoutLevel_ = level;
-    TELEM_INSTANT(trace_, telemetry::TraceRecorder::clusterTrack(),
-                  "brownout", simulator_.now(), {{"level", level}});
-#if SPLITWISE_TELEMETRY_ENABLED
+    if (trace_)
+        trace_->instant(telemetry::TraceRecorder::clusterTrack(),
+                        "brownout", simulator_.now(), {{"level", level}});
     if (spans_)
         spans_->setBrownoutLevel(level);
-#endif
 }
 
 std::size_t
@@ -260,9 +264,11 @@ ClusterScheduler::moveToPool(int machine_id, PoolType pool)
     if (pool == PoolType::kMixed)
         e.mixedSince = simulator_.now();
     ++poolTransitions_;
-    TELEM_INSTANT(trace_, telemetry::TraceRecorder::clusterTrack(),
-                  "pool_transition", simulator_.now(),
-                  {{"machine", machine_id}, {"pool", poolTypeName(pool)}});
+    if (trace_)
+        trace_->instant(
+            telemetry::TraceRecorder::clusterTrack(), "pool_transition",
+            simulator_.now(),
+            {{"machine", machine_id}, {"pool", poolTypeName(pool)}});
 }
 
 bool
@@ -471,9 +477,10 @@ ClusterScheduler::onArrival(engine::LiveRequest* request, bool force_admit)
 {
     if (!force_admit && shouldShedRequest(*request)) {
         ++shedRequests_;
-        TELEM_INSTANT(trace_, telemetry::TraceRecorder::clusterTrack(),
-                      "shed", simulator_.now(),
-                      {{"request", request->spec.id}});
+        if (trace_)
+            trace_->instant(telemetry::TraceRecorder::clusterTrack(),
+                            "shed", simulator_.now(),
+                            {{"request", request->spec.id}});
         return false;
     }
     // Brownout L2+: cap how much generation an admitted request may

@@ -56,12 +56,10 @@ Cluster::Cluster(model::LlmConfig llm, ClusterDesign design, SimConfig config)
                                      engine::LiveRequest* req) {
         const metrics::RequestResult result = req->result();
         results_.add(result);
-#if SPLITWISE_TELEMETRY_ENABLED
         if (spans_) {
             spans_->complete(req->spec.id, simulator_.now(),
                              worstSlowdown(result));
         }
-#endif
         if (liveDone_)
             liveDone_(req);
         // The machine dropped every reference before this callback
@@ -262,22 +260,20 @@ Cluster::setupTelemetry()
         return pool_power(design_.numPrompt, design_.machines());
     });
 
-    if (config_.telemetry.perMachineSeries) {
-        for (const auto& m_ptr : machines_) {
-            engine::Machine* m = m_ptr.get();
-            const std::string prefix = "m" + std::to_string(m->id()) + "_";
-            registry_.addGauge(prefix + "queue_tokens", [m] {
-                return static_cast<double>(m->promptQueueDepthTokens());
-            });
-            registry_.addGauge(prefix + "kv_tokens", [m] {
-                return static_cast<double>(m->tokenLoadTokens());
-            });
-            registry_.addGauge(prefix + "active_tokens", [m] {
-                return static_cast<double>(m->stats().activeTokens.value());
-            });
-            registry_.addGauge(prefix + "power_w",
-                               [m] { return m->currentPowerWatts(); });
-        }
+    for (const auto& m_ptr : machines_) {
+        engine::Machine* m = m_ptr.get();
+        const std::string prefix = "m" + std::to_string(m->id()) + "_";
+        registry_.addGauge(prefix + "queue_tokens", [m] {
+            return static_cast<double>(m->promptQueueDepthTokens());
+        });
+        registry_.addGauge(prefix + "kv_tokens", [m] {
+            return static_cast<double>(m->tokenLoadTokens());
+        });
+        registry_.addGauge(prefix + "active_tokens", [m] {
+            return static_cast<double>(m->stats().activeTokens.value());
+        });
+        registry_.addGauge(prefix + "power_w",
+                           [m] { return m->currentPowerWatts(); });
     }
 
     if (config_.telemetry.traceEnabled) {
@@ -293,12 +289,9 @@ Cluster::setupTelemetry()
         cls_->setTrace(trace_.get());
     }
 
-#if SPLITWISE_TELEMETRY_ENABLED
     if (config_.telemetry.spanTracking) {
         telemetry::SpanTrackerConfig span_config;
         span_config.exemplarK = std::max(0, config_.telemetry.exemplarK);
-        span_config.flightRecorderCapacity = static_cast<std::size_t>(
-            std::max(0, config_.telemetry.flightRecorderCapacity));
         spans_ = std::make_unique<telemetry::SpanTracker>(span_config);
         sloRef_ = std::make_unique<SloChecker>(llm_);
         for (const auto& m : machines_)
@@ -306,7 +299,6 @@ Cluster::setupTelemetry()
         engine_.setSpans(spans_.get());
         cls_->setSpans(spans_.get());
     }
-#endif
 }
 
 double
@@ -475,7 +467,8 @@ Cluster::failMachine(int machine_id)
         }
         // Fold the lost work into a restart-penalty span before
         // re-admission re-opens the queue span.
-        TELEM_REQ_RESTART(spans_.get(), req->spec.id, simulator_.now());
+        if (spans_)
+            spans_->restart(req->spec.id, simulator_.now());
         req->resetForRestart();
         restarts_->add();
         cls_->onArrival(req, /*force_admit=*/true);
@@ -513,7 +506,8 @@ Cluster::onTransferAbort(engine::LiveRequest* request)
     // admission control - the request was already accepted.
     sim::LogRequestScope log_scope(request->spec.id);
     sim::inform("transfer retries exhausted; restarting request");
-    TELEM_REQ_RESTART(spans_.get(), request->spec.id, simulator_.now());
+    if (spans_)
+        spans_->restart(request->spec.id, simulator_.now());
     request->resetForRestart();
     restarts_->add();
     cls_->onArrival(request, /*force_admit=*/true);
@@ -532,14 +526,16 @@ Cluster::restoreFromCheckpoint(engine::LiveRequest* request)
     ++request->restartEpoch;
     request->phase = engine::RequestPhase::kTransferring;
     request->tokenMachine = host->id();
-    TELEM_TRANSITION(trace_.get(),
-                     telemetry::TraceRecorder::requestTrack(request->spec.id),
-                     "kv_restore", simulator_.now(),
-                     {{"host", host->id()}});
+    if (trace_)
+        trace_->transition(
+            telemetry::TraceRecorder::requestTrack(request->spec.id),
+            "kv_restore", simulator_.now(), {{"host", host->id()}});
     // The generated work survives, so this is a transfer span (the
     // restore pays a wire move), not a restart penalty.
-    TELEM_REQ_PHASE(spans_.get(), request->spec.id,
-                    telemetry::SpanPhase::kKvTransfer, simulator_.now());
+    if (spans_)
+        spans_->transition(request->spec.id,
+                           telemetry::SpanPhase::kKvTransfer,
+                           simulator_.now());
     const double bytes = static_cast<double>(request->contextTokens()) *
                          static_cast<double>(llm_.kvBytesPerToken()) /
                          config_.kvCompressionRatio;

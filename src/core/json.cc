@@ -226,7 +226,12 @@ JsonValue::asNumber() const
 std::int64_t
 JsonValue::asInt() const
 {
-    return static_cast<std::int64_t>(asNumber());
+    const double v = asNumber();
+    // [-2^63, 2^63) is exactly the range a double converts to int64
+    // without undefined behaviour; the negated test also rejects NaN.
+    if (!(v >= -0x1p63 && v < 0x1p63))
+        sim::fatal("JsonValue: number out of int64 range");
+    return static_cast<std::int64_t>(v);
 }
 
 const std::string&

@@ -56,6 +56,8 @@ class JsonValue {
     /** Typed accessors; fatal() on type mismatch. */
     bool asBool() const;
     double asNumber() const;
+    /** Truncates toward zero; fatal() on a non-finite number or one
+     *  outside the int64 range. */
     std::int64_t asInt() const;
     const std::string& asString() const;
 

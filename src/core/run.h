@@ -41,8 +41,7 @@ struct RunSinks {
     std::string timeseriesPath;
     /**
      * Latency-attribution JSON: per-phase breakdown plus SLO-offender
-     * exemplar timelines (implies span tracking). Ignored by
-     * SPLITWISE_TELEMETRY=OFF builds.
+     * exemplar timelines (implies span tracking).
      */
     std::string breakdownPath;
 

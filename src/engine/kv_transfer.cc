@@ -118,12 +118,15 @@ KvTransferEngine::startTransfer(LiveRequest* request, Machine* src,
     if (src == dst)
         sim::panic("KvTransferEngine: src == dst");
     request->phase = RequestPhase::kTransferring;
-    TELEM_TRANSITION(trace_,
-                     telemetry::TraceRecorder::requestTrack(request->spec.id),
-                     "kv_transfer", simulator_.now(),
-                     {{"src", src->id()}, {"dst", dst->id()}});
-    TELEM_REQ_PHASE(spans_, request->spec.id,
-                    telemetry::SpanPhase::kKvTransfer, simulator_.now());
+    if (trace_)
+        trace_->transition(
+            telemetry::TraceRecorder::requestTrack(request->spec.id),
+            "kv_transfer", simulator_.now(),
+            {{"src", src->id()}, {"dst", dst->id()}});
+    if (spans_)
+        spans_->transition(request->spec.id,
+                           telemetry::SpanPhase::kKvTransfer,
+                           simulator_.now());
     if (dst->failed()) {
         // Destination died between routing and prompt completion:
         // continue the decode locally on the prompt machine.
@@ -134,19 +137,22 @@ KvTransferEngine::startTransfer(LiveRequest* request, Machine* src,
     // Intermediate flow point: the request-track "kv_transfer" span
     // just opened, linking the prompt machine's handoff arrow through
     // the transfer span to the token machine.
-    TELEM_FLOW_STEP(trace_,
-                    telemetry::TraceRecorder::requestTrack(request->spec.id),
-                    "kv_handoff", simulator_.now(), request->spec.id);
+    if (trace_)
+        trace_->flowStep(
+            telemetry::TraceRecorder::requestTrack(request->spec.id),
+            "kv_handoff", simulator_.now(), request->spec.id);
     // KV for the accumulated context plus the next generated token
     // must land on the destination before decoding resumes.
     if (!dst->reserveKv(request, request->contextTokens() + 1)) {
         ++stats_.memoryStalls;
-        TELEM_INSTANT(trace_, telemetry::TraceRecorder::requestTrack(
-                                  request->spec.id),
-                      "kv_memory_stall", simulator_.now(),
-                      {{"dst", dst->id()}});
-        TELEM_REQ_PHASE(spans_, request->spec.id,
-                        telemetry::SpanPhase::kKvStall, simulator_.now());
+        if (trace_)
+            trace_->instant(
+                telemetry::TraceRecorder::requestTrack(request->spec.id),
+                "kv_memory_stall", simulator_.now(), {{"dst", dst->id()}});
+        if (spans_)
+            spans_->transition(request->spec.id,
+                               telemetry::SpanPhase::kKvStall,
+                               simulator_.now());
         port(dst->id()).waiting.push_back({request, src, prompt_compute,
                                            request->restartEpoch,
                                            std::move(done)});
@@ -162,8 +168,10 @@ KvTransferEngine::launch(LiveRequest* request, Machine* src, Machine* dst,
 {
     // Re-enter the transfer phase: a no-op on the first attempt, and
     // the stall/backoff-to-wire transition on later ones.
-    TELEM_REQ_PHASE(spans_, request->spec.id,
-                    telemetry::SpanPhase::kKvTransfer, simulator_.now());
+    if (spans_)
+        spans_->transition(request->spec.id,
+                           telemetry::SpanPhase::kKvTransfer,
+                           simulator_.now());
     const auto& model = modelFor(*src, *dst);
     const auto plan = model.plan(request->spec.promptTokens, prompt_compute);
 
@@ -231,10 +239,11 @@ KvTransferEngine::launch(LiveRequest* request, Machine* src, Machine* dst,
                 ++stats_.transferTimeouts;
             else
                 ++stats_.transferFaults;
-            TELEM_INSTANT(trace_, telemetry::TraceRecorder::requestTrack(
-                                      request->spec.id),
-                          timed_out ? "kv_timeout" : "kv_fault",
-                          simulator_.now(), {{"attempt", attempt}});
+            if (trace_)
+                trace_->instant(
+                    telemetry::TraceRecorder::requestTrack(request->spec.id),
+                    timed_out ? "kv_timeout" : "kv_fault", simulator_.now(),
+                    {{"attempt", attempt}});
             handleAttemptFailure(request, src, dst, prompt_compute,
                                  std::move(done), attempt);
             return;
@@ -243,12 +252,10 @@ KvTransferEngine::launch(LiveRequest* request, Machine* src, Machine* dst,
         // owns the cache now.
         if (!src->failed())
             src->releaseKv(request);
-#if SPLITWISE_TELEMETRY_ENABLED
         // The destination's first decode iteration will close the
         // cross-machine flow arrow for this request.
         if (trace_)
             trace_->markPendingFlow(request->spec.id);
-#endif
         dst->acceptTransferred(request);
         if (done)
             done(request);
@@ -270,12 +277,15 @@ KvTransferEngine::handleAttemptFailure(LiveRequest* request, Machine* src,
     const auto backoff = static_cast<sim::TimeUs>(
         static_cast<double>(retry_.backoffBaseUs) *
         std::pow(retry_.backoffMultiplier, attempt));
-    TELEM_INSTANT(trace_,
-                  telemetry::TraceRecorder::requestTrack(request->spec.id),
-                  "kv_retry", simulator_.now(),
-                  {{"attempt", attempt + 1}, {"backoff_us", backoff}});
-    TELEM_REQ_PHASE(spans_, request->spec.id,
-                    telemetry::SpanPhase::kKvBackoff, simulator_.now());
+    if (trace_)
+        trace_->instant(
+            telemetry::TraceRecorder::requestTrack(request->spec.id),
+            "kv_retry", simulator_.now(),
+            {{"attempt", attempt + 1}, {"backoff_us", backoff}});
+    if (spans_)
+        spans_->transition(request->spec.id,
+                           telemetry::SpanPhase::kKvBackoff,
+                           simulator_.now());
     const std::uint32_t epoch = request->restartEpoch;
     simulator_.postAfter(
         backoff, [this, request, src, dst, prompt_compute, attempt, epoch,
@@ -301,10 +311,11 @@ void
 KvTransferEngine::abortTransfer(LiveRequest* request, Machine* src,
                                 Machine* dst)
 {
-    TELEM_INSTANT(trace_,
-                  telemetry::TraceRecorder::requestTrack(request->spec.id),
-                  "kv_abort", simulator_.now(),
-                  {{"src", src->id()}, {"dst", dst->id()}});
+    if (trace_)
+        trace_->instant(
+            telemetry::TraceRecorder::requestTrack(request->spec.id),
+            "kv_abort", simulator_.now(),
+            {{"src", src->id()}, {"dst", dst->id()}});
     if (!dst->failed())
         dst->releaseKv(request);
     if (!src->failed())

@@ -68,12 +68,14 @@ Machine::submitPrompt(LiveRequest* request)
             request->cachedPrefixTokens = 0;
         }
     }
-    TELEM_TRANSITION(trace_, telemetry::TraceRecorder::requestTrack(
-                                 request->spec.id),
-                     "queued", simulator_.now(),
-                     {{"machine", id_}, {"restarts", request->restarts}});
-    TELEM_REQ_PHASE(spans_, request->spec.id, telemetry::SpanPhase::kQueue,
-                    simulator_.now());
+    if (trace_)
+        trace_->transition(
+            telemetry::TraceRecorder::requestTrack(request->spec.id),
+            "queued", simulator_.now(),
+            {{"machine", id_}, {"restarts", request->restarts}});
+    if (spans_)
+        spans_->transition(request->spec.id, telemetry::SpanPhase::kQueue,
+                           simulator_.now());
     mls_.enqueuePrompt(request);
     kick();
 }
@@ -102,11 +104,13 @@ Machine::acceptTransferred(LiveRequest* request)
         sim::panic("Machine::acceptTransferred on a failed machine");
     if (parked_)
         sim::panic("Machine::acceptTransferred on a parked machine");
-    TELEM_TRANSITION(trace_, telemetry::TraceRecorder::requestTrack(
-                                 request->spec.id),
-                     "decode", simulator_.now(), {{"machine", id_}});
-    TELEM_REQ_PHASE(spans_, request->spec.id, telemetry::SpanPhase::kDecode,
-                    simulator_.now());
+    if (trace_)
+        trace_->transition(
+            telemetry::TraceRecorder::requestTrack(request->spec.id),
+            "decode", simulator_.now(), {{"machine", id_}});
+    if (spans_)
+        spans_->transition(request->spec.id, telemetry::SpanPhase::kDecode,
+                           simulator_.now());
     mls_.addResident(request);
     kick();
 }
@@ -153,7 +157,6 @@ void
 Machine::setSpans(telemetry::SpanTracker* spans)
 {
     spans_ = spans;
-#if SPLITWISE_TELEMETRY_ENABLED
     // A preempted resident's KV is dropped and it recomputes from the
     // queue, so its attribution returns to the queue phase.
     if (spans) {
@@ -164,7 +167,6 @@ Machine::setSpans(telemetry::SpanTracker* spans)
     } else {
         mls_.setPreemptHook(nullptr);
     }
-#endif
 }
 
 void
@@ -182,12 +184,12 @@ Machine::fail()
         return;
     // The in-flight iteration dies with the machine: close its span
     // so the trace keeps matched begin/end pairs.
-    if (busy_) {
-        TELEM_SPAN_END(trace_, telemetry::TraceRecorder::machineTrack(id_),
-                       simulator_.now());
-    }
-    TELEM_INSTANT(trace_, telemetry::TraceRecorder::machineTrack(id_),
-                  "fail", simulator_.now());
+    if (busy_ && trace_)
+        trace_->end(telemetry::TraceRecorder::machineTrack(id_),
+                    simulator_.now());
+    if (trace_)
+        trace_->instant(telemetry::TraceRecorder::machineTrack(id_),
+                        "fail", simulator_.now());
     // A crash trumps a park: close the parked interval so downtime
     // is accounted as down, not parked, and let recover() bring the
     // machine back into service directly.
@@ -212,8 +214,9 @@ Machine::recover()
         return;
     failed_ = false;
     stats_.downUs += simulator_.now() - downSince_;
-    TELEM_INSTANT(trace_, telemetry::TraceRecorder::machineTrack(id_),
-                  "recover", simulator_.now());
+    if (trace_)
+        trace_->instant(telemetry::TraceRecorder::machineTrack(id_),
+                        "recover", simulator_.now());
     stats_.activeTokens.set(simulator_.now(), 0);
     kick();
 }
@@ -229,8 +232,9 @@ Machine::park()
         sim::panic("Machine::park with work on the machine");
     parked_ = true;
     parkedSince_ = simulator_.now();
-    TELEM_INSTANT(trace_, telemetry::TraceRecorder::machineTrack(id_),
-                  "park", simulator_.now());
+    if (trace_)
+        trace_->instant(telemetry::TraceRecorder::machineTrack(id_),
+                        "park", simulator_.now());
 }
 
 void
@@ -240,8 +244,9 @@ Machine::unpark()
         return;
     parked_ = false;
     stats_.parkedUs += simulator_.now() - parkedSince_;
-    TELEM_INSTANT(trace_, telemetry::TraceRecorder::machineTrack(id_),
-                  "unpark", simulator_.now());
+    if (trace_)
+        trace_->instant(telemetry::TraceRecorder::machineTrack(id_),
+                        "unpark", simulator_.now());
     kick();
 }
 
@@ -316,7 +321,6 @@ Machine::startIteration()
     const bool has_prompt = !plan.prompts.empty();
     const bool has_decode = !plan.decodes.empty();
 
-#if SPLITWISE_TELEMETRY_ENABLED
     if (trace_) {
         const char* kind = has_prompt && has_decode ? "mixed_iter"
                            : has_prompt             ? "prompt_iter"
@@ -357,7 +361,6 @@ Machine::startIteration()
                                simulator_.now());
         }
     }
-#endif
     double gpu_fraction = 0.0;
     if (has_prompt) {
         gpu_fraction = power_.promptPowerFraction(plan.promptTokens);
@@ -399,9 +402,10 @@ Machine::routePromptCompletion(LiveRequest* request,
         // Single-output requests are done at the first token; the
         // KV-cache is never needed again.
         request->phase = RequestPhase::kDone;
-        TELEM_CLOSE(trace_, telemetry::TraceRecorder::requestTrack(
-                                request->spec.id),
-                    simulator_.now());
+        if (trace_)
+            trace_->close(
+                telemetry::TraceRecorder::requestTrack(request->spec.id),
+                simulator_.now());
         mls_.blocks().release(request->spec.id);
         if (callbacks_.onMemoryFreed)
             callbacks_.onMemoryFreed(*this);
@@ -413,11 +417,14 @@ Machine::routePromptCompletion(LiveRequest* request,
         // Decode continues locally (baseline, mixed pool, or
         // standalone machine).
         request->tokenMachine = id_;
-        TELEM_TRANSITION(trace_, telemetry::TraceRecorder::requestTrack(
-                                     request->spec.id),
-                         "decode", simulator_.now(), {{"machine", id_}});
-        TELEM_REQ_PHASE(spans_, request->spec.id,
-                        telemetry::SpanPhase::kDecode, simulator_.now());
+        if (trace_)
+            trace_->transition(
+                telemetry::TraceRecorder::requestTrack(request->spec.id),
+                "decode", simulator_.now(), {{"machine", id_}});
+        if (spans_)
+            spans_->transition(request->spec.id,
+                               telemetry::SpanPhase::kDecode,
+                               simulator_.now());
         mls_.addResident(request);
         return;
     }
@@ -426,9 +433,10 @@ Machine::routePromptCompletion(LiveRequest* request,
         sim::panic("Machine: remote token machine but no onPromptDone hook");
     // Flow-arrow source: emitted while this machine's iteration slice
     // is still open (routePromptCompletion runs before the machine
-    // track's SPAN_END in completeIteration).
-    TELEM_FLOW_START(trace_, telemetry::TraceRecorder::machineTrack(id_),
-                     "kv_handoff", simulator_.now(), request->spec.id);
+    // track's span end in completeIteration).
+    if (trace_)
+        trace_->flowStart(telemetry::TraceRecorder::machineTrack(id_),
+                          "kv_handoff", simulator_.now(), request->spec.id);
     callbacks_.onPromptDone(*this, request, prompt_compute);
 }
 
@@ -450,9 +458,9 @@ Machine::completeIteration(const BatchPlan& plan, sim::TimeUs duration)
             onToken_(req);
         if (req->finished()) {
             req->phase = RequestPhase::kDone;
-            TELEM_CLOSE(trace_,
-                        telemetry::TraceRecorder::requestTrack(req->spec.id),
-                        now);
+            if (trace_)
+                trace_->close(
+                    telemetry::TraceRecorder::requestTrack(req->spec.id), now);
             mls_.finish(req);
             freed = true;
             if (callbacks_.onRequestDone)
@@ -492,7 +500,8 @@ Machine::completeIteration(const BatchPlan& plan, sim::TimeUs duration)
         ++stats_.tokenIterations;
     stats_.busyUs += duration;
 
-    TELEM_SPAN_END(trace_, telemetry::TraceRecorder::machineTrack(id_), now);
+    if (trace_)
+        trace_->end(telemetry::TraceRecorder::machineTrack(id_), now);
 
     busy_ = false;
     runningPromptTokens_ = 0;

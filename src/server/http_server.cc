@@ -14,6 +14,11 @@ namespace splitwise::server {
 
 namespace {
 
+/** Largest request header, and separately largest body, the server
+ *  reads. A longer header drops the connection; a longer declared
+ *  body is answered 413 before any of it is read. */
+constexpr std::size_t kMaxRequestBytes = std::size_t{1} << 20;
+
 const char*
 statusText(int status)
 {
@@ -22,9 +27,30 @@ statusText(int status)
       case 202: return "Accepted";
       case 400: return "Bad Request";
       case 404: return "Not Found";
+      case 413: return "Payload Too Large";
       case 503: return "Service Unavailable";
       default: return "Unknown";
     }
+}
+
+/** Parse a Content-Length value: one decimal number with optional
+ *  blanks around it. @return false on anything else. An overflowing
+ *  number saturates, which the body cap then rejects. */
+bool
+parseContentLength(const char* text, std::size_t* out)
+{
+    while (*text == ' ' || *text == '\t')
+        ++text;
+    if (!std::isdigit(static_cast<unsigned char>(*text)))
+        return false;
+    char* end = nullptr;
+    const unsigned long long value = std::strtoull(text, &end, 10);
+    while (*end == ' ' || *end == '\t')
+        ++end;
+    if (*end != '\0')
+        return false;
+    *out = static_cast<std::size_t>(value);
+    return true;
 }
 
 }  // namespace
@@ -200,7 +226,7 @@ HttpServer::handleConnection(int fd)
         }
         data.append(buffer, static_cast<std::size_t>(n));
         header_end = data.find("\r\n\r\n");
-        if (data.size() > (1u << 20))
+        if (data.size() > kMaxRequestBytes)
             break;  // Oversized header: drop the connection.
     }
     if (header_end == std::string::npos) {
@@ -223,6 +249,7 @@ HttpServer::handleConnection(int fd)
         request.path = line.substr(sp1 + 1, sp2 - sp1 - 1);
 
         std::size_t content_length = 0;
+        bool length_ok = true;
         std::size_t pos = line_end;
         while (pos != std::string::npos && pos < head.size()) {
             const std::size_t start = pos + 2;
@@ -236,11 +263,18 @@ HttpServer::handleConnection(int fd)
                 for (char& c : name)
                     c = static_cast<char>(std::tolower(c));
                 if (name == "content-length:") {
-                    content_length = static_cast<std::size_t>(
-                        std::strtoull(header.c_str() + 15, nullptr, 10));
+                    length_ok = parseContentLength(header.c_str() + 15,
+                                                   &content_length);
                 }
             }
             pos = end;
+        }
+        if (!length_ok || content_length > kMaxRequestBytes) {
+            ResponseWriter(fd).writeFull(
+                413, "application/json",
+                "{\"error\":\"request body too large\"}");
+            ::close(fd);
+            return;
         }
 
         std::string body = data.substr(header_end + 4);

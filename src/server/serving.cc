@@ -3,11 +3,13 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <mutex>
 
 #include "core/cluster.h"
 #include "core/json.h"
+#include "sim/log.h"
 #include "telemetry/metrics_registry.h"
 
 namespace splitwise::server {
@@ -69,6 +71,22 @@ tokenLine(const core::TokenUpdate& update)
     return row.dump() + "\n";
 }
 
+/** A whole-number request field in [lo, hi]; fatal() otherwise,
+ *  which the caller answers with 400. */
+std::int64_t
+intField(const core::JsonValue& body, const char* key,
+         std::int64_t lo = std::numeric_limits<std::int64_t>::min(),
+         std::int64_t hi = std::numeric_limits<std::int64_t>::max())
+{
+    const core::JsonValue& v = body.at(key);
+    const std::int64_t n = v.asInt();
+    if (static_cast<double>(n) != v.asNumber())
+        sim::fatal(std::string(key) + " must be an integer");
+    if (n < lo || n > hi)
+        sim::fatal(std::string(key) + " out of range");
+    return n;
+}
+
 }  // namespace
 
 void
@@ -105,16 +123,23 @@ CompletionService::handleCompletion(const HttpRequest& request,
     core::IngressRequest spec;
     try {
         const core::JsonValue body = core::JsonValue::parse(request.body);
-        spec.promptTokens = body.at("prompt_tokens").asInt();
+        constexpr std::int64_t kIntMin = std::numeric_limits<int>::min();
+        constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+        spec.promptTokens = intField(body, "prompt_tokens");
         if (body.has("output_tokens"))
-            spec.outputTokens = body.at("output_tokens").asInt();
-        if (body.has("priority"))
-            spec.priority = static_cast<int>(body.at("priority").asInt());
-        if (body.has("session"))
+            spec.outputTokens = intField(body, "output_tokens");
+        if (body.has("priority")) {
+            spec.priority =
+                static_cast<int>(intField(body, "priority", kIntMin, kIntMax));
+        }
+        if (body.has("session")) {
             spec.session =
-                static_cast<std::uint64_t>(body.at("session").asInt());
-        if (body.has("turn"))
-            spec.turn = static_cast<int>(body.at("turn").asInt());
+                static_cast<std::uint64_t>(intField(body, "session", 0));
+        }
+        if (body.has("turn")) {
+            spec.turn =
+                static_cast<int>(intField(body, "turn", kIntMin, kIntMax));
+        }
     } catch (const std::exception& e) {
         writer.writeFull(400, "application/json",
                          std::string("{\"error\":\"bad request body: ") +

@@ -3,14 +3,11 @@
 
 /**
  * @file
- * Telemetry facade: configuration plus the TELEM_* instrumentation
- * macros used on simulation hot paths.
- *
- * Build-time switch: configuring with -DSPLITWISE_TELEMETRY=OFF
- * defines SPLITWISE_TELEMETRY_DISABLED, compiling every TELEM_*
- * macro to nothing - the event loop pays literally zero cost for
- * tracing hooks. With telemetry compiled in but no recorder attached
- * (the default at runtime), each macro costs one pointer test.
+ * Telemetry facade: the per-run configuration plus the recorders it
+ * switches on. Instrumented components hold a TraceRecorder and a
+ * SpanTracker pointer that stay null unless a run asks for them, so
+ * each hook on a hot path costs one pointer test when telemetry is
+ * off.
  */
 
 #include "sim/time.h"
@@ -18,12 +15,6 @@
 #include "telemetry/span_tracker.h"
 #include "telemetry/timeseries.h"
 #include "telemetry/trace_recorder.h"
-
-#ifdef SPLITWISE_TELEMETRY_DISABLED
-#define SPLITWISE_TELEMETRY_ENABLED 0
-#else
-#define SPLITWISE_TELEMETRY_ENABLED 1
-#endif
 
 namespace splitwise::telemetry {
 
@@ -36,12 +27,6 @@ struct TelemetryConfig {
      * Fault epochs additionally trigger on-event samples.
      */
     sim::TimeUs sampleIntervalUs = 0;
-    /**
-     * Emit per-machine gauge columns (queue depth, KV tokens,
-     * residents, active tokens, power) in addition to the pool and
-     * cluster aggregates.
-     */
-    bool perMachineSeries = true;
 
     /**
      * Track per-request causal span timelines (SpanTracker): latency
@@ -53,135 +38,8 @@ struct TelemetryConfig {
 
     /** Worst-offender exemplar timelines kept (0 disables). */
     int exemplarK = 3;
-
-    /** Flight-recorder ring capacity (recent completed timelines). */
-    int flightRecorderCapacity = 256;
-
-    /** True when any telemetry stream is requested. */
-    bool
-    any() const
-    {
-        return traceEnabled || spanTracking || sampleIntervalUs > 0;
-    }
 };
 
 }  // namespace splitwise::telemetry
-
-#if SPLITWISE_TELEMETRY_ENABLED
-
-/** Open a span: TELEM_SPAN_BEGIN(rec, track, "name", now[, {args}]). */
-#define TELEM_SPAN_BEGIN(rec, track, name, now, ...) \
-    do { \
-        if (rec) \
-            (rec)->begin((track), (name), (now), ##__VA_ARGS__); \
-    } while (0)
-
-/** Close the innermost span on a track. */
-#define TELEM_SPAN_END(rec, track, now) \
-    do { \
-        if (rec) \
-            (rec)->end((track), (now)); \
-    } while (0)
-
-/** Exclusive phase change (request lifecycle idiom). */
-#define TELEM_TRANSITION(rec, track, name, now, ...) \
-    do { \
-        if (rec) \
-            (rec)->transition((track), (name), (now), ##__VA_ARGS__); \
-    } while (0)
-
-/** Close whatever span a track has open. */
-#define TELEM_CLOSE(rec, track, now) \
-    do { \
-        if (rec) \
-            (rec)->close((track), (now)); \
-    } while (0)
-
-/** Zero-duration instant event. */
-#define TELEM_INSTANT(rec, track, name, now, ...) \
-    do { \
-        if (rec) \
-            (rec)->instant((track), (name), (now), ##__VA_ARGS__); \
-    } while (0)
-
-/** Move a request between SpanTracker attribution phases. */
-#define TELEM_REQ_PHASE(spans, id, phase, now) \
-    do { \
-        if (spans) \
-            (spans)->transition((id), (phase), (now)); \
-    } while (0)
-
-/** Fold a crash-restarted request's work into restart_penalty. */
-#define TELEM_REQ_RESTART(spans, id, now) \
-    do { \
-        if (spans) \
-            (spans)->restart((id), (now)); \
-    } while (0)
-
-/** Finish a request's timeline (slowdown ranks exemplars). */
-#define TELEM_REQ_COMPLETE(spans, id, now, slowdown) \
-    do { \
-        if (spans) \
-            (spans)->complete((id), (now), (slowdown)); \
-    } while (0)
-
-/** Source side of a cross-track flow arrow. */
-#define TELEM_FLOW_START(rec, track, name, now, id) \
-    do { \
-        if (rec) \
-            (rec)->flowStart((track), (name), (now), (id)); \
-    } while (0)
-
-/** Intermediate flow point. */
-#define TELEM_FLOW_STEP(rec, track, name, now, id) \
-    do { \
-        if (rec) \
-            (rec)->flowStep((track), (name), (now), (id)); \
-    } while (0)
-
-/** Destination side of a cross-track flow arrow. */
-#define TELEM_FLOW_END(rec, track, name, now, id) \
-    do { \
-        if (rec) \
-            (rec)->flowEnd((track), (name), (now), (id)); \
-    } while (0)
-
-#else  // SPLITWISE_TELEMETRY_ENABLED
-
-#define TELEM_SPAN_BEGIN(rec, track, name, now, ...) \
-    do { \
-    } while (0)
-#define TELEM_SPAN_END(rec, track, now) \
-    do { \
-    } while (0)
-#define TELEM_TRANSITION(rec, track, name, now, ...) \
-    do { \
-    } while (0)
-#define TELEM_CLOSE(rec, track, now) \
-    do { \
-    } while (0)
-#define TELEM_INSTANT(rec, track, name, now, ...) \
-    do { \
-    } while (0)
-#define TELEM_REQ_PHASE(spans, id, phase, now) \
-    do { \
-    } while (0)
-#define TELEM_REQ_RESTART(spans, id, now) \
-    do { \
-    } while (0)
-#define TELEM_REQ_COMPLETE(spans, id, now, slowdown) \
-    do { \
-    } while (0)
-#define TELEM_FLOW_START(rec, track, name, now, id) \
-    do { \
-    } while (0)
-#define TELEM_FLOW_STEP(rec, track, name, now, id) \
-    do { \
-    } while (0)
-#define TELEM_FLOW_END(rec, track, name, now, id) \
-    do { \
-    } while (0)
-
-#endif  // SPLITWISE_TELEMETRY_ENABLED
 
 #endif  // SPLITWISE_TELEMETRY_TELEMETRY_H_

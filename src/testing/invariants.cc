@@ -561,11 +561,6 @@ InvariantChecker::checkEventQueue()
 void
 InvariantChecker::checkTelemetry()
 {
-#if !SPLITWISE_TELEMETRY_ENABLED
-    // The TELEM_* macros compile to no-ops: no span ever opens, so
-    // balance against live state is meaningless here.
-    return;
-#else
     const telemetry::TraceRecorder* rec = cluster_.traceRecorder();
     if (!rec)
         return;
@@ -586,13 +581,11 @@ InvariantChecker::checkTelemetry()
                 std::to_string(rec->openSpans()) + " open spans, expected " +
                     std::to_string(expected));
     }
-#endif
 }
 
 void
 InvariantChecker::checkSpanTimelines()
 {
-#if SPLITWISE_TELEMETRY_ENABLED
     const telemetry::SpanTracker* spans = cluster_.spanTracker();
     if (!spans)
         return;
@@ -623,7 +616,6 @@ InvariantChecker::checkSpanTimelines()
     const std::string err = spans->integrityError();
     if (!err.empty())
         violate("span-balance", err);
-#endif
 }
 
 void
@@ -712,7 +704,6 @@ InvariantChecker::finalCheck(const core::RunReport& report)
                     " waiting transfers after the run drained");
     }
 
-#if SPLITWISE_TELEMETRY_ENABLED
     if (const auto* rec = cluster_.traceRecorder()) {
         if (rec->openSpans() != 0) {
             violate("span-balance",
@@ -740,7 +731,6 @@ InvariantChecker::finalCheck(const core::RunReport& report)
                         std::to_string(done) + " requests finished");
         }
     }
-#endif
 }
 
 }  // namespace splitwise::testing

@@ -38,8 +38,6 @@ convTrace(double rps, double seconds, std::uint64_t seed = 7)
     return gen.generate(rps, sim::secondsToUs(seconds));
 }
 
-#if SPLITWISE_TELEMETRY_ENABLED
-
 TEST(AttributionIntegrationTest, BreakdownSumsToE2eOnClusterRun)
 {
     const auto trace = convTrace(8.0, 15);
@@ -249,8 +247,6 @@ TEST(AttributionIntegrationTest, ViolationCapturesFlightRecorder)
     EXPECT_NE(outcome.flightRecorderJson.find("\"live\":["),
               std::string::npos);
 }
-
-#endif  // SPLITWISE_TELEMETRY_ENABLED
 
 TEST(AttributionIntegrationTest, NoSpanTrackerUnlessEnabled)
 {

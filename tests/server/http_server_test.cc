@@ -8,7 +8,13 @@
 #include "server/serving.h"
 
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <unistd.h>
 
+#include <chrono>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <thread>
@@ -82,6 +88,49 @@ class ServerFixture : public ::testing::Test {
     std::unique_ptr<HttpServer> http_;
 };
 
+/** Send @p raw verbatim and read the response until the server
+ *  closes, giving up after @p timeout_s without a byte. */
+std::string
+rawExchange(int port, const std::string& raw, int timeout_s)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return "";
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    timeval timeout{};
+    timeout.tv_sec = timeout_s;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+    std::string response;
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) ==
+            0 &&
+        ::send(fd, raw.data(), raw.size(), MSG_NOSIGNAL) ==
+            static_cast<ssize_t>(raw.size())) {
+        char buffer[4096];
+        ssize_t n;
+        while ((n = ::recv(fd, buffer, sizeof buffer, 0)) > 0)
+            response.append(buffer, static_cast<std::size_t>(n));
+    }
+    ::close(fd);
+    return response;
+}
+
+/** POST a small valid completion and check it streams to the end. */
+void
+expectCompletes(int port)
+{
+    const HttpResult ok = httpRequest(port, "POST", "/v1/completions",
+                                      "{\"prompt_tokens\": 64, "
+                                      "\"output_tokens\": 2}");
+    ASSERT_EQ(ok.status, 200);
+    const std::string last =
+        ok.body.substr(ok.body.rfind('\n', ok.body.size() - 2) + 1);
+    EXPECT_TRUE(core::JsonValue::parse(last).at("finished").asBool())
+        << ok.body;
+}
+
 /** Wall-clock variant: tokens stream at real decode cadence, so a
  *  client's DELETE can land mid-stream instead of losing the race
  *  against virtual time. */
@@ -130,6 +179,57 @@ TEST_F(ServerFixture, MalformedBodyIs400)
     const HttpResult missing =
         httpRequest(port(), "POST", "/v1/completions", "{}");
     EXPECT_EQ(missing.status, 400);
+
+    // Numbers that do not convert to the field's integer type: out of
+    // int64 range, fractional, out of int range, or a negative id.
+    for (const char* body :
+         {"{\"prompt_tokens\": 1e30}",
+          "{\"prompt_tokens\": -1e30}",
+          "{\"prompt_tokens\": 2.5}",
+          "{\"prompt_tokens\": 64, \"output_tokens\": 1.5}",
+          "{\"prompt_tokens\": 64, \"turn\": 1e10}",
+          "{\"prompt_tokens\": 64, \"priority\": 3000000000}",
+          "{\"prompt_tokens\": 64, \"priority\": 0.5}",
+          "{\"prompt_tokens\": 64, \"session\": -1}",
+          "{\"prompt_tokens\": 64, \"session\": 1.5}"}) {
+        EXPECT_EQ(httpRequest(port(), "POST", "/v1/completions", body)
+                      .status,
+                  400)
+            << body;
+    }
+    expectCompletes(port());
+
+    drain();
+    EXPECT_EQ(ingress_.completed(), 1u);
+    EXPECT_EQ(ingress_.unresolved(), 0u);  // leaked=0
+}
+
+TEST_F(ServerFixture, OversizedBodyIs413WithoutReadingIt)
+{
+    // A 1 GiB declared body that never arrives: the server must answer
+    // from the header alone instead of waiting for (or buffering) it.
+    // An overflowing or unparseable length gets the same answer.
+    for (const char* length :
+         {"1073741824", "99999999999999999999999", "12abc"}) {
+        const auto start = std::chrono::steady_clock::now();
+        const std::string response =
+            rawExchange(port(),
+                        std::string("POST /v1/completions HTTP/1.1\r\n"
+                                    "Host: 127.0.0.1\r\n"
+                                    "Content-Length: ") +
+                            length + "\r\n\r\n",
+                        5);
+        EXPECT_EQ(response.rfind("HTTP/1.1 413 ", 0), 0u)
+            << length << ": " << response;
+        EXPECT_LT(std::chrono::steady_clock::now() - start,
+                  std::chrono::seconds(5))
+            << length;
+    }
+
+    expectCompletes(port());
+    drain();
+    EXPECT_EQ(ingress_.completed(), 1u);
+    EXPECT_EQ(ingress_.unresolved(), 0u);  // leaked=0
 }
 
 TEST_F(ServerFixture, UnknownRouteIs404)
@@ -195,14 +295,7 @@ TEST_F(ServerFixture, OversizedRequestsAreRejectedNotFatal)
         const core::JsonValue record = core::JsonValue::parse(result.body);
         EXPECT_TRUE(record.has("rejected")) << result.body;
     }
-    const HttpResult ok = httpRequest(port(), "POST", "/v1/completions",
-                                      "{\"prompt_tokens\": 64, "
-                                      "\"output_tokens\": 2}");
-    ASSERT_EQ(ok.status, 200);
-    const std::string last =
-        ok.body.substr(ok.body.rfind('\n', ok.body.size() - 2) + 1);
-    EXPECT_TRUE(core::JsonValue::parse(last).at("finished").asBool())
-        << ok.body;
+    expectCompletes(port());
 
     drain();
     EXPECT_EQ(ingress_.rejectedByAdmission(), 2u);

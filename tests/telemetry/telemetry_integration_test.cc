@@ -29,8 +29,6 @@ convTrace(double rps, double seconds, std::uint64_t seed = 7)
     return gen.generate(rps, sim::secondsToUs(seconds));
 }
 
-#if SPLITWISE_TELEMETRY_ENABLED
-
 TEST(TelemetryIntegrationTest, TraceExportIsWellFormedPerfettoJson)
 {
     const auto trace = convTrace(8.0, 15);
@@ -195,7 +193,6 @@ TEST(TelemetryIntegrationTest, TimeseriesAppearsInReportJson)
     const auto trace = convTrace(5.0, 10);
     SimConfig config;
     config.telemetry.sampleIntervalUs = sim::secondsToUs(2.0);
-    config.telemetry.perMachineSeries = false;
     Cluster cluster(model::llama2_70b(), core::splitwiseHH(1, 1), config);
     const RunReport report = cluster.run(trace);
 
@@ -205,11 +202,7 @@ TEST(TelemetryIntegrationTest, TimeseriesAppearsInReportJson)
         << "parse error near " << json.substr(checker.errorAt(), 40);
     EXPECT_NE(json.find("\"timeseries\""), std::string::npos);
     EXPECT_NE(json.find("\"tokens_generated\""), std::string::npos);
-    // perMachineSeries=false keeps per-machine gauges out.
-    EXPECT_EQ(json.find("\"m0_queue_tokens\""), std::string::npos);
 }
-
-#endif  // SPLITWISE_TELEMETRY_ENABLED
 
 TEST(TelemetryIntegrationTest, TelemetryOffLeavesTheReportUntouched)
 {

@@ -2,16 +2,17 @@
 #
 # Full verification sweep for the Splitwise simulator.
 #
-#   tools/verify.sh          tier-1 build + tests, telemetry-off build,
-#                            format check, determinism gate
+#   tools/verify.sh          tier-1 build + tests, format check,
+#                            determinism gate
 #   tools/verify.sh --asan   ... plus an ASan/UBSan build + tests (slow)
 #   tools/verify.sh --tsan   ... plus a TSan build of the parallel
-#                            sweep tests (slow)
+#                            sweep and HTTP front-end tests, the same
+#                            targets as CI's tsan job (slow)
 #
 # Build trees:
-#   build/          default (telemetry on) - the tier-1 tree
-#   build-notelem/  -DSPLITWISE_TELEMETRY=OFF
-#   build-asan/     -DSPLITWISE_SANITIZE=address,undefined (--asan only)
+#   build/          default - the tier-1 tree
+#   build-asan/     -DSPLITWISE_SANITIZE=address,undefined,float-cast-overflow
+#                   (--asan only)
 #   build-tsan/     -DSPLITWISE_SANITIZE=thread (--tsan only)
 
 set -euo pipefail
@@ -38,13 +39,6 @@ cmake --build build -j
 
 step "tier-1: ctest"
 ctest --test-dir build --output-on-failure -j "$(nproc)"
-
-step "telemetry-off build (-DSPLITWISE_TELEMETRY=OFF)"
-cmake -B build-notelem -S . -DSPLITWISE_TELEMETRY=OFF >/dev/null
-cmake --build build-notelem -j
-
-step "telemetry-off ctest"
-ctest --test-dir build-notelem --output-on-failure -j "$(nproc)"
 
 step "determinism gate: fig12 sweep --jobs 1 vs --jobs 8"
 tmpdir="$(mktemp -d)"
@@ -78,7 +72,8 @@ echo "bench_chaos telemetry self-checks passed"
 if [ "$run_asan" -eq 1 ]; then
     step "ASan/UBSan build (slow)"
     cmake -B build-asan -S . \
-        -DSPLITWISE_SANITIZE=address,undefined >/dev/null
+        -DSPLITWISE_SANITIZE=address,undefined,float-cast-overflow \
+        >/dev/null
     cmake --build build-asan -j
 
     step "ASan/UBSan ctest"
@@ -86,14 +81,19 @@ if [ "$run_asan" -eq 1 ]; then
 fi
 
 if [ "$run_tsan" -eq 1 ]; then
-    step "TSan build: parallel sweep targets (slow)"
+    step "TSan build: parallel sweep and HTTP targets (slow)"
     cmake -B build-tsan -S . -DSPLITWISE_SANITIZE=thread >/dev/null
     cmake --build build-tsan -j \
-        --target run_pool_test determinism_test provisioner_test
+        --target run_pool_test determinism_test provisioner_test \
+        ingress_threads_test http_server_test
 
     step "TSan ctest (parallel sweep tests)"
     ctest --test-dir build-tsan --output-on-failure \
-        -R 'run_pool_test|determinism_test|provisioner_test'
+        -R 'run_pool_test|determinism_test|provisioner_test|ingress_threads_test'
+
+    step "TSan ctest (HTTP front-end, repeated to catch start-up races)"
+    ctest --test-dir build-tsan --output-on-failure \
+        -R 'http_server_test' --repeat until-fail:20
 fi
 
 step "verify: all green"
