@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <functional>
 #include <string>
 #include <vector>
@@ -104,8 +105,8 @@ class ArgParser {
 
     /**
      * Register a post-parse validation hook; it runs after all flags
-     * are applied and should call ArgParser::fail()/sim-level fatal
-     * on invalid combinations.
+     * are applied and should call ArgParser::fail() or sim::fatal()
+     * on invalid combinations. Either way the process exits 2.
      */
     void addValidator(std::function<void()> validator)
     {
@@ -115,7 +116,8 @@ class ArgParser {
     /**
      * Parse the command line. On `--help`/`-h` prints the generated
      * help and exits 0; on any error (unknown flag, missing/invalid
-     * value, missing required flag) prints a diagnostic and exits 2.
+     * value, missing required flag, a validator that throws) prints
+     * a diagnostic and exits 2.
      */
     void
     parse(int argc, char** argv)
@@ -146,8 +148,12 @@ class ArgParser {
             if (spec.required && !spec.seen)
                 fail("missing required flag " + spec.name);
         }
-        for (const auto& validator : validators_)
-            validator();
+        try {
+            for (const auto& validator : validators_)
+                validator();
+        } catch (const std::exception& e) {
+            fail(e.what());
+        }
     }
 
     /** Print a diagnostic and exit 2 (non-zero per the bench CLI contract). */

@@ -33,7 +33,7 @@
  *                           benches (default hardware_concurrency;
  *                           --jobs=1 is the exact serial path).
  *   --policy=NAME           Scheduling policy, resolved through
- *                           sched::policyRegistry() (default,
+ *                           sched::parsePolicyKind() (default,
  *                           prefix); unset keeps the bench's own
  *                           choice.
  *   --runs=N                Repetition count for benches that soak
@@ -155,7 +155,7 @@ struct BenchArgs {
     int runs = 1;
     /**
      * Scheduling-policy name (`--policy`), resolved through
-     * sched::policyRegistry(); empty keeps the bench's own
+     * sched::parsePolicyKind(); empty keeps the bench's own
      * SimConfig::policy untouched.
      */
     std::string policy;
@@ -233,7 +233,9 @@ benchParser(const std::string& program, const std::string& summary)
             sim::fatal("--spans must be auto, on, or off");
         if (args.spans == "off" && !args.breakdownOut.empty())
             sim::fatal("--spans=off contradicts --breakdown-out");
-        if (!args.policy.empty() && !sched::findPolicy(args.policy))
+        sched::PolicyKind kind = sched::PolicyKind::kDefault;
+        if (!args.policy.empty() &&
+            !sched::parsePolicyKind(args.policy, &kind))
             sim::fatal("--policy: unknown policy '" + args.policy +
                        "' (known: " + sched::policyNames() + ")");
     });
@@ -269,10 +271,8 @@ applyPolicyCli(core::SimConfig& config)
     const BenchArgs& args = benchArgs();
     if (args.policy.empty())
         return;
-    const sched::PolicyFactory* factory = sched::findPolicy(args.policy);
-    if (!factory)
+    if (!sched::parsePolicyKind(args.policy, &config.policy.kind))
         sim::fatal("--policy: unknown policy '" + args.policy + "'");
-    config.policy.kind = factory->kind;
 }
 
 /** Turn the parsed bench flags into per-run telemetry switches. */

@@ -400,9 +400,9 @@ ClusterScheduler::shouldShedRequest(const engine::LiveRequest& request) const
 engine::Machine*
 ClusterScheduler::affinityMachine(engine::LiveRequest* request)
 {
-    if (!policy_)
+    if (!prefixCache_)
         return nullptr;
-    const int target = policy_->prepareRoute(*request);
+    const int target = prefixCache_->prepareRoute(*request);
     if (target < 0)
         return nullptr;
     if (!contains(target) || at(target).machine->failed()) {
@@ -413,7 +413,7 @@ ClusterScheduler::affinityMachine(engine::LiveRequest* request)
         request->cachedPrefixTokens = 0;
         return nullptr;
     }
-    policy_->noteAffinityRoute();
+    prefixCache_->noteAffinityRoute();
     return at(target).machine;
 }
 

@@ -225,13 +225,14 @@ class ClusterScheduler {
     void setSpans(telemetry::SpanTracker* spans) { spans_ = spans; }
 
     /**
-     * Attach a scheduling policy (non-owning; the Cluster owns it).
-     * prepareRoute() runs before every admitted arrival's routing;
-     * an affinity preference is honoured when the named machine is
-     * still routed, and degrades to the normal JSQ path (with the
-     * request's prefix tag cleared) otherwise. nullptr detaches.
+     * Attach the session prefix cache (non-owning; the Cluster owns
+     * it). prepareRoute() runs before every admitted arrival's
+     * routing; an affinity preference is honoured when the named
+     * machine is still routed, and degrades to the normal JSQ path
+     * (with the request's prefix tag cleared) otherwise. nullptr
+     * (the default policy) detaches.
      */
-    void setPolicy(sched::Policy* policy) { policy_ = policy; }
+    void setPrefixCache(sched::PrefixCache* cache) { prefixCache_ = cache; }
 
   private:
     /** Routing state: in a pool, retired by the controller (draining
@@ -287,7 +288,7 @@ class ClusterScheduler {
     void routeSplitwise(engine::LiveRequest* request);
 
     /**
-     * Resolve the policy's affinity preference for @p request:
+     * Resolve the prefix cache's affinity preference for @p request:
      * the preferred machine when it is still routed and live, else
      * nullptr (after clearing the request's prefix tag — the pin
      * can only be taken on the machine that holds the prefix).
@@ -323,7 +324,7 @@ class ClusterScheduler {
     std::uint64_t restores_ = 0;
     telemetry::TraceRecorder* trace_ = nullptr;
     telemetry::SpanTracker* spans_ = nullptr;
-    sched::Policy* policy_ = nullptr;
+    sched::PrefixCache* prefixCache_ = nullptr;
 };
 
 }  // namespace splitwise::core

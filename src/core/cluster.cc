@@ -12,6 +12,9 @@ namespace splitwise::core {
 
 namespace {
 
+/** Restore bandwidth of the KV checkpoint store, GB/s. */
+constexpr double kCheckpointRestoreGBps = 100.0;
+
 /** Build the iteration-pricing model for one machine spec. */
 std::unique_ptr<model::PerfModel>
 buildPerfModel(const model::LlmConfig& llm, const hw::MachineSpec& spec,
@@ -81,8 +84,8 @@ Cluster::Cluster(model::LlmConfig llm, ClusterDesign design, SimConfig config)
     };
     callbacks.onPrefillComplete = [this](engine::Machine& m,
                                          engine::LiveRequest* req) {
-        if (policy_)
-            policy_->onPrefillComplete(m, *req);
+        if (prefixCache_)
+            prefixCache_->onPrefillComplete(m, *req);
     };
 
     auto build_pool = [&](const hw::MachineSpec& spec, int count,
@@ -113,16 +116,14 @@ Cluster::Cluster(model::LlmConfig llm, ClusterDesign design, SimConfig config)
     cls_ = std::make_unique<ClusterScheduler>(
         simulator_, config_.cls, prompt_pool, token_pool, design_.splitwise);
 
-    policy_ = sched::makePolicy(config_.policy);
-    if (policy_->kind() != sched::PolicyKind::kDefault) {
-        // The default policy is pure identity; skipping its routing
-        // hook keeps the default path exactly the pre-seam code.
+    if (config_.policy.kind == sched::PolicyKind::kPrefixCache) {
         std::vector<engine::Machine*> all_machines;
         all_machines.reserve(machines_.size());
         for (const auto& m : machines_)
             all_machines.push_back(m.get());
-        policy_->bind(all_machines);
-        cls_->setPolicy(policy_.get());
+        prefixCache_ = std::make_unique<sched::PrefixCache>(
+            config_.policy, std::move(all_machines));
+        cls_->setPrefixCache(prefixCache_.get());
     }
 
     engine_.setRetryPolicy(config_.kvRetry);
@@ -181,9 +182,9 @@ Cluster::setupTelemetry()
         return total;
     });
 
-    // Prefix-cache counters exist only under a non-default policy so
+    // Prefix-cache counters exist only under the prefix policy so
     // default-policy time-series columns stay byte-identical.
-    if (config_.policy.kind != sched::PolicyKind::kDefault) {
+    if (prefixCache_) {
         auto prefix_sum = [this](auto pick) {
             return [this, pick] {
                 std::uint64_t total = 0;
@@ -395,9 +396,10 @@ Cluster::failMachine(int machine_id)
     cls_->markFailed(machine_id);
     machine->fail();
     // The crash wiped the machine's cached prefixes with its KV;
-    // drop the policy's directory entries so follow-up session turns
-    // miss cleanly instead of routing to an empty cache.
-    policy_->onMachineFailed(machine_id);
+    // drop its directory entries so follow-up session turns miss
+    // cleanly instead of routing to an empty cache.
+    if (prefixCache_)
+        prefixCache_->onMachineFailed(machine_id);
     sim::inform("machine failed", {{"machine", std::to_string(machine_id)}});
 
     // A failure can empty routing entirely while the controller holds
@@ -540,7 +542,7 @@ Cluster::restoreFromCheckpoint(engine::LiveRequest* request)
                          static_cast<double>(llm_.kvBytesPerToken()) /
                          config_.kvCompressionRatio;
     const auto restore_us =
-        sim::secondsToUs(bytes / (config_.checkpointRestoreGBps * 1e9));
+        sim::secondsToUs(bytes / (kCheckpointRestoreGBps * 1e9));
     const std::uint32_t epoch = request->restartEpoch;
     simulator_.postAfter(restore_us, [this, request, host, epoch] {
         if (request->restartEpoch != epoch || host->failed()) {
@@ -661,7 +663,7 @@ Cluster::buildReport()
     if (spans_)
         report.breakdown = spans_->breakdown();
 
-    if (policy_->kind() != sched::PolicyKind::kDefault) {
+    if (prefixCache_) {
         report.prefixCache.enabled = true;
         for (const auto& m : machines_) {
             const auto& ps = m->mls().blocks().prefixStats();
@@ -671,7 +673,7 @@ Cluster::buildReport()
             report.prefixCache.stores += ps.stores;
             report.prefixCache.hitTokens += ps.hitTokens;
         }
-        const sched::PolicyStats pstats = policy_->stats();
+        const sched::DirectoryStats pstats = prefixCache_->stats();
         report.prefixCache.directoryMisses = pstats.directoryMisses;
         report.prefixCache.affinityRoutes = pstats.affinityRoutes;
         report.prefixCache.directorySize =

@@ -46,10 +46,10 @@ struct SimConfig {
     engine::MlsConfig mls;
     ClsConfig cls;
     /**
-     * Scheduling-policy plug-in riding on the two-level scheduler.
-     * The default policy is the identity (reports byte-identical to
-     * builds without the seam); the prefix policy adds session
-     * KV-prefix reuse with affinity routing.
+     * Scheduling policy on top of the two-level scheduler: the
+     * default runs it unchanged; the prefix policy adds a
+     * sched::PrefixCache for session KV-prefix reuse with affinity
+     * routing.
      */
     sched::PolicyConfig policy;
     /** Prompt size at which KV transfer switches to layer-wise. */
@@ -63,8 +63,6 @@ struct SimConfig {
      * (paying a wire transfer) instead of recomputing from scratch.
      */
     bool kvCheckpointing = false;
-    /** Checkpoint-store restore bandwidth, GB/s. */
-    double checkpointRestoreGBps = 100.0;
     /** Fraction of HBM the serving framework may use. */
     double memoryUtilFraction = 0.92;
     /** Timeout/retry/backoff policy for transient KV-transfer faults. */
@@ -339,10 +337,6 @@ class Cluster {
     ClusterScheduler& scheduler() { return *cls_; }
     engine::KvTransferEngine& transferEngine() { return engine_; }
 
-    /** The scheduling policy selected by SimConfig::policy. */
-    sched::Policy& policy() { return *policy_; }
-    const sched::Policy& policy() const { return *policy_; }
-
     /**
      * Lifecycle trace of the last run; nullptr unless
      * SimConfig::telemetry.traceEnabled was set.
@@ -462,8 +456,9 @@ class Cluster {
     std::vector<std::unique_ptr<engine::Machine>> machines_;
     engine::KvTransferEngine engine_;
     std::unique_ptr<ClusterScheduler> cls_;
-    /** The scheduling-policy plug-in; never null once constructed. */
-    std::unique_ptr<sched::Policy> policy_;
+    /** The session prefix cache; null unless SimConfig::policy
+     *  selects PolicyKind::kPrefixCache. */
+    std::unique_ptr<sched::PrefixCache> prefixCache_;
 
     engine::RequestPool pool_;
     /** The stream feeding the current run(); null outside run(). */

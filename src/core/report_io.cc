@@ -4,7 +4,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/json.h"
 #include "sim/log.h"
 
 namespace splitwise::core {
@@ -178,66 +177,6 @@ reportToJson(const RunReport& report, const SloReport* slo)
     }
     out << '}';
     return out.str();
-}
-
-ReportDigest
-reportDigestFromJson(const std::string& json)
-{
-    const JsonValue doc = JsonValue::parse(json);
-    ReportDigest d;
-
-    const JsonValue& design = doc.at("design");
-    d.machines = static_cast<int>(design.at("machines").asInt());
-    d.costPerHour = design.at("cost_per_hour").asNumber();
-    d.powerWatts = design.at("power_watts").asNumber();
-
-    const JsonValue& requests = doc.at("requests");
-    d.submitted = static_cast<std::uint64_t>(requests.at("submitted").asInt());
-    d.completed = static_cast<std::uint64_t>(requests.at("completed").asInt());
-    d.throughputRps = requests.at("throughput_rps").asNumber();
-    d.ttftP50Ms = requests.at("ttft_ms").at("p50").asNumber();
-    d.ttftP99Ms = requests.at("ttft_ms").at("p99").asNumber();
-    d.tbtP50Ms = requests.at("tbt_ms").at("p50").asNumber();
-    d.maxTbtP99Ms = requests.at("max_tbt_ms").at("p99").asNumber();
-    d.e2eP50Ms = requests.at("e2e_ms").at("p50").asNumber();
-
-    const JsonValue& pools = doc.at("pools");
-    d.promptPoolTokens = pools.at("prompt").at("tokens_generated").asInt();
-    d.tokenPoolTokens = pools.at("token").at("tokens_generated").asInt();
-
-    const JsonValue& transfers = doc.at("transfers");
-    auto counter = [](const JsonValue& v) {
-        return static_cast<std::uint64_t>(v.asInt());
-    };
-    d.transfers = counter(transfers.at("count"));
-    d.transferFaults = counter(transfers.at("faults"));
-    d.transferTimeouts = counter(transfers.at("timeouts"));
-    d.transferRetries = counter(transfers.at("retries"));
-    d.transferAborts = counter(transfers.at("aborts"));
-
-    const JsonValue& scheduler = doc.at("scheduler");
-    d.mixedRoutes = counter(scheduler.at("mixed_routes"));
-    d.preemptions = counter(scheduler.at("preemptions"));
-    d.restarts = counter(scheduler.at("restarts"));
-    d.checkpointRestores = counter(scheduler.at("checkpoint_restores"));
-    d.rejected = counter(scheduler.at("rejected"));
-    d.rejoins = counter(scheduler.at("rejoins"));
-
-    if (doc.has("prefix_cache")) {
-        const JsonValue& p = doc.at("prefix_cache");
-        d.hasPrefixCache = true;
-        d.prefixHits = counter(p.at("hits"));
-        d.prefixMisses = counter(p.at("misses"));
-        d.prefixEvictions = counter(p.at("evictions"));
-        d.prefixHitTokens = p.at("hit_tokens").asInt();
-        d.affinityRoutes = counter(p.at("affinity_routes"));
-    }
-
-    if (doc.has("slo")) {
-        d.hasSlo = true;
-        d.sloPass = doc.at("slo").at("pass").asBool();
-    }
-    return d;
 }
 
 void

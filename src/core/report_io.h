@@ -27,62 +27,6 @@ std::string reportToJson(const RunReport& report,
 void writeReportJson(const RunReport& report, const std::string& path,
                      const SloReport* slo = nullptr);
 
-/**
- * The scalar view of a serialized run report: everything
- * reportToJson() emits except the raw latency samples (a Summary
- * serializes its percentiles, not its sample set, so a full RunReport
- * cannot be reconstructed - the digest is the round-trippable part).
- */
-struct ReportDigest {
-    int machines = 0;
-    double costPerHour = 0.0;
-    double powerWatts = 0.0;
-
-    std::uint64_t submitted = 0;
-    std::uint64_t completed = 0;
-    double throughputRps = 0.0;
-    double ttftP50Ms = 0.0;
-    double ttftP99Ms = 0.0;
-    double tbtP50Ms = 0.0;
-    /** Tail-TBT: P99 of the per-request worst inter-token gap. */
-    double maxTbtP99Ms = 0.0;
-    double e2eP50Ms = 0.0;
-
-    std::int64_t promptPoolTokens = 0;
-    std::int64_t tokenPoolTokens = 0;
-
-    std::uint64_t transfers = 0;
-    std::uint64_t transferFaults = 0;
-    std::uint64_t transferTimeouts = 0;
-    std::uint64_t transferRetries = 0;
-    std::uint64_t transferAborts = 0;
-
-    std::uint64_t mixedRoutes = 0;
-    std::uint64_t preemptions = 0;
-    std::uint64_t restarts = 0;
-    std::uint64_t checkpointRestores = 0;
-    std::uint64_t rejected = 0;
-    std::uint64_t rejoins = 0;
-
-    bool hasSlo = false;
-    bool sloPass = false;
-
-    /** Prefix-cache section (non-default scheduling policy only). */
-    bool hasPrefixCache = false;
-    std::uint64_t prefixHits = 0;
-    std::uint64_t prefixMisses = 0;
-    std::uint64_t prefixEvictions = 0;
-    std::int64_t prefixHitTokens = 0;
-    std::uint64_t affinityRoutes = 0;
-};
-
-/**
- * Parse a reportToJson() document back into its scalar digest
- * (report -> JSON -> digest round-trip); fatal() on malformed input
- * or missing sections.
- */
-ReportDigest reportDigestFromJson(const std::string& json);
-
 }  // namespace splitwise::core
 
 #endif  // SPLITWISE_CORE_REPORT_IO_H_

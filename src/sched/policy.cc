@@ -1,57 +1,26 @@
 #include "sched/policy.h"
 
+#include <utility>
+
 #include "engine/machine.h"
 #include "engine/request.h"
 #include "sim/log.h"
 
 namespace splitwise::sched {
 
-const std::vector<PolicyFactory>&
-policyRegistry()
-{
-    static const std::vector<PolicyFactory> registry = {
-        {PolicyKind::kDefault, "default",
-         "the unmodified two-level scheduler",
-         [](const PolicyConfig&) -> std::unique_ptr<Policy> {
-             return std::make_unique<DefaultPolicy>();
-         }},
-        {PolicyKind::kPrefixCache, "prefix",
-         "session prefix-cache KV reuse with affinity routing",
-         [](const PolicyConfig& config) -> std::unique_ptr<Policy> {
-             return std::make_unique<PrefixCachePolicy>(config);
-         }},
-    };
-    return registry;
-}
+namespace {
 
-const PolicyFactory*
-findPolicy(const std::string& name)
-{
-    for (const PolicyFactory& factory : policyRegistry()) {
-        if (name == factory.name)
-            return &factory;
-    }
-    return nullptr;
-}
+constexpr PolicyKind kPolicyKinds[] = {PolicyKind::kDefault,
+                                       PolicyKind::kPrefixCache};
 
-std::string
-policyNames()
-{
-    std::string names;
-    for (const PolicyFactory& factory : policyRegistry()) {
-        if (!names.empty())
-            names += ", ";
-        names += factory.name;
-    }
-    return names;
-}
+}  // namespace
 
 const char*
 policyKindName(PolicyKind kind)
 {
-    for (const PolicyFactory& factory : policyRegistry()) {
-        if (factory.kind == kind)
-            return factory.name;
+    switch (kind) {
+      case PolicyKind::kDefault: return "default";
+      case PolicyKind::kPrefixCache: return "prefix";
     }
     return "?";
 }
@@ -59,57 +28,37 @@ policyKindName(PolicyKind kind)
 bool
 parsePolicyKind(const std::string& name, PolicyKind* out)
 {
-    const PolicyFactory* factory = findPolicy(name);
-    if (!factory)
-        return false;
-    *out = factory->kind;
-    return true;
+    for (const PolicyKind kind : kPolicyKinds) {
+        if (name == policyKindName(kind)) {
+            *out = kind;
+            return true;
+        }
+    }
+    return false;
 }
 
-Policy::~Policy() = default;
-
-void
-Policy::bind(const std::vector<engine::Machine*>&)
+std::string
+policyNames()
 {
+    std::string names;
+    for (const PolicyKind kind : kPolicyKinds) {
+        if (!names.empty())
+            names += ", ";
+        names += policyKindName(kind);
+    }
+    return names;
 }
 
-int
-Policy::prepareRoute(engine::LiveRequest&)
-{
-    return -1;
-}
-
-void
-Policy::onPrefillComplete(engine::Machine&, engine::LiveRequest&)
-{
-}
-
-void
-Policy::onMachineFailed(int)
-{
-}
-
-PolicyStats
-Policy::stats() const
-{
-    return stats_;
-}
-
-PrefixCachePolicy::PrefixCachePolicy(const PolicyConfig& config)
-    : config_(config)
+PrefixCache::PrefixCache(const PolicyConfig& config,
+                         std::vector<engine::Machine*> machines)
+    : config_(config), machines_(std::move(machines))
 {
     if (config_.maxContextTokens < 1)
-        sim::fatal("PrefixCachePolicy: bad context cap");
-}
-
-void
-PrefixCachePolicy::bind(const std::vector<engine::Machine*>& machines)
-{
-    machines_ = machines;
+        sim::fatal("PrefixCache: bad context cap");
 }
 
 int
-PrefixCachePolicy::prepareRoute(engine::LiveRequest& request)
+PrefixCache::prepareRoute(engine::LiveRequest& request)
 {
     request.cachedPrefixTokens = 0;
     const std::uint64_t session = request.spec.session;
@@ -142,7 +91,7 @@ PrefixCachePolicy::prepareRoute(engine::LiveRequest& request)
 }
 
 void
-PrefixCachePolicy::onPrefillComplete(engine::Machine& machine,
+PrefixCache::onPrefillComplete(engine::Machine& machine,
                                      engine::LiveRequest& request)
 {
     const std::uint64_t session = request.spec.session;
@@ -166,7 +115,7 @@ PrefixCachePolicy::onPrefillComplete(engine::Machine& machine,
 }
 
 void
-PrefixCachePolicy::onMachineFailed(int machine_id)
+PrefixCache::onMachineFailed(int machine_id)
 {
     // The crash wiped the machine's KV including its cached
     // prefixes; follow-up turns must miss and recompute.
@@ -178,23 +127,12 @@ PrefixCachePolicy::onMachineFailed(int machine_id)
     }
 }
 
-PolicyStats
-PrefixCachePolicy::stats() const
+DirectoryStats
+PrefixCache::stats() const
 {
-    PolicyStats out = stats_;
+    DirectoryStats out = stats_;
     out.directorySize = directory_.size();
     return out;
-}
-
-std::unique_ptr<Policy>
-makePolicy(const PolicyConfig& config)
-{
-    for (const PolicyFactory& factory : policyRegistry()) {
-        if (factory.kind == config.kind)
-            return factory.make(config);
-    }
-    sim::fatal("makePolicy: unknown policy kind");
-    return nullptr;
 }
 
 }  // namespace splitwise::sched

@@ -3,6 +3,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cctype>
@@ -18,6 +19,12 @@ namespace {
  *  reads. A longer header drops the connection; a longer declared
  *  body is answered 413 before any of it is read. */
 constexpr std::size_t kMaxRequestBytes = std::size_t{1} << 20;
+
+/** Receive and send deadline on every accepted socket. A client that
+ *  goes quiet mid-request, or stops reading its response, for this
+ *  long is dropped, so no connection holds its thread (and stop(),
+ *  which joins every thread) forever. */
+constexpr timeval kSocketDeadline{2, 0};
 
 const char*
 statusText(int status)
@@ -195,6 +202,10 @@ HttpServer::acceptLoop()
         }
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
+        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &kSocketDeadline,
+                     sizeof kSocketDeadline);
+        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &kSocketDeadline,
+                     sizeof kSocketDeadline);
         std::lock_guard<std::mutex> lock(connMu_);
         // A finished thread has only its exit left: the join is quick.
         connections_.remove_if([](Connection& c) {

@@ -59,6 +59,7 @@ main(int argc, char** argv)
     int port = 8080;
     std::string clock_name = "wall";
     std::string policy_name = "default";
+    sched::PolicyKind policy = sched::PolicyKind::kDefault;
     int prompt_machines = 1;
     int token_machines = 1;
     std::string record_out;
@@ -93,7 +94,7 @@ main(int argc, char** argv)
     parser.addValidator([&] {
         if (clock_name != "wall" && clock_name != "sim")
             sim::fatal("--clock must be wall or sim");
-        if (!sched::findPolicy(policy_name))
+        if (!sched::parsePolicyKind(policy_name, &policy))
             sim::fatal("--policy: unknown policy '" + policy_name +
                        "' (known: " + sched::policyNames() + ")");
         if (prompt_machines < 1 || token_machines < 0)
@@ -108,7 +109,7 @@ main(int argc, char** argv)
     options.design = token_machines > 0
                          ? core::splitwiseHH(prompt_machines, token_machines)
                          : core::baselineH100(prompt_machines);
-    options.sim.policy.kind = sched::findPolicy(policy_name)->kind;
+    options.sim.policy.kind = policy;
 
     if (!replay_path.empty()) {
         const core::SessionRecording recording =

@@ -7,6 +7,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/log.h"
+
 namespace splitwise::bench {
 namespace {
 
@@ -95,6 +97,23 @@ TEST(ArgParserDeathTest, DuplicateRegistrationExits2)
             parser.addInt("--jobs", &workers, "conflicting registration");
         },
         ::testing::ExitedWithCode(2), "duplicate flag registration --jobs");
+}
+
+TEST(ArgParserDeathTest, ValidatorFatalExits2)
+{
+    // Validators report bad combinations with sim::fatal, which
+    // throws; the parser must turn that into the exit-2 contract
+    // instead of letting it escape main as an abort.
+    ArgParser parser("bench_x", "test parser");
+    int jobs = 0;
+    parser.addInt("--jobs", &jobs, "worker count");
+    parser.addValidator([&jobs] {
+        if (jobs < 0)
+            sim::fatal("--jobs must be >= 0");
+    });
+    Argv args({"bench_x", "--jobs=-1"});
+    EXPECT_EXIT(parser.parse(args.argc(), args.argv()),
+                ::testing::ExitedWithCode(2), "--jobs must be >= 0");
 }
 
 TEST(ArgParserDeathTest, HelpExitsZeroAndListsFlags)

@@ -7,6 +7,7 @@
 
 #include "core/designs.h"
 #include "core/fault_plan.h"
+#include "core/json.h"
 #include "model/llm_config.h"
 #include "workload/trace_gen.h"
 #include "workload/workloads.h"
@@ -95,36 +96,49 @@ TEST(ReportIoTest, WriteToBadPathThrows)
                  std::runtime_error);
 }
 
-TEST(ReportDigestTest, RoundTripPreservesScalars)
+/** A report counter read back from its JSON section. */
+std::uint64_t
+counter(const JsonValue& section, const char* key)
 {
-    const RunReport report = smallRun();
-    const ReportDigest d = reportDigestFromJson(reportToJson(report));
-    EXPECT_EQ(d.machines, 2);
-    EXPECT_EQ(d.submitted, report.submitted);
-    EXPECT_EQ(d.completed, report.requests.completed());
-    EXPECT_NEAR(d.throughputRps, report.throughputRps(),
-                1e-5 * report.throughputRps());
-    EXPECT_EQ(d.transfers, report.transfers.transfers);
-    EXPECT_EQ(d.preemptions, report.preemptions);
-    EXPECT_EQ(d.promptPoolTokens, report.promptPool.tokensGenerated);
-    EXPECT_EQ(d.tokenPoolTokens, report.tokenPool.tokensGenerated);
-    EXPECT_GT(d.ttftP50Ms, 0.0);
-    EXPECT_FALSE(d.hasSlo);
+    return static_cast<std::uint64_t>(section.at(key).asInt());
 }
 
-TEST(ReportDigestTest, SloSectionRoundTrips)
+TEST(ReportJsonTest, RoundTripPreservesScalars)
+{
+    const RunReport report = smallRun();
+    const JsonValue doc = JsonValue::parse(reportToJson(report));
+    const JsonValue& requests = doc.at("requests");
+    EXPECT_EQ(doc.at("design").at("machines").asInt(), 2);
+    EXPECT_EQ(counter(requests, "submitted"), report.submitted);
+    EXPECT_EQ(counter(requests, "completed"), report.requests.completed());
+    EXPECT_NEAR(requests.at("throughput_rps").asNumber(),
+                report.throughputRps(), 1e-5 * report.throughputRps());
+    EXPECT_EQ(counter(doc.at("transfers"), "count"),
+              report.transfers.transfers);
+    EXPECT_EQ(counter(doc.at("scheduler"), "preemptions"),
+              report.preemptions);
+    const JsonValue& pools = doc.at("pools");
+    EXPECT_EQ(pools.at("prompt").at("tokens_generated").asInt(),
+              report.promptPool.tokensGenerated);
+    EXPECT_EQ(pools.at("token").at("tokens_generated").asInt(),
+              report.tokenPool.tokensGenerated);
+    EXPECT_GT(requests.at("ttft_ms").at("p50").asNumber(), 0.0);
+    EXPECT_FALSE(doc.has("slo"));
+}
+
+TEST(ReportJsonTest, SloSectionRoundTrips)
 {
     const RunReport report = smallRun();
     const SloChecker checker(model::llama2_70b());
     const SloReport slo = checker.evaluate(report.requests, SloSet{});
-    const ReportDigest d = reportDigestFromJson(reportToJson(report, &slo));
-    EXPECT_TRUE(d.hasSlo);
-    EXPECT_EQ(d.sloPass, slo.pass);
+    const JsonValue doc = JsonValue::parse(reportToJson(report, &slo));
+    ASSERT_TRUE(doc.has("slo"));
+    EXPECT_EQ(doc.at("slo").at("pass").asBool(), slo.pass);
 }
 
 /** A run with crashes and admission control: the fault counters and
- *  rejected count must survive the report -> JSON -> digest trip. */
-TEST(ReportDigestTest, FaultCountersAndRejectedRoundTrip)
+ *  rejected count must survive the report -> JSON -> parse trip. */
+TEST(ReportJsonTest, FaultCountersAndRejectedRoundTrip)
 {
     workload::TraceGenerator gen(workload::conversation(), 11);
     const auto trace = gen.generate(12.0, sim::secondsToUs(8));
@@ -139,22 +153,27 @@ TEST(ReportDigestTest, FaultCountersAndRejectedRoundTrip)
               sim::msToUs(400.0), 1.0});
     FaultInjector(cluster).apply(plan);
     const RunReport report = cluster.run(trace);
-    const ReportDigest d = reportDigestFromJson(reportToJson(report));
-    EXPECT_EQ(d.restarts, report.restarts);
-    EXPECT_EQ(d.checkpointRestores, report.checkpointRestores);
-    EXPECT_EQ(d.rejected, report.rejected);
-    EXPECT_EQ(d.rejoins, report.rejoins);
-    EXPECT_EQ(d.transferFaults, report.transfers.transferFaults);
-    EXPECT_EQ(d.transferRetries, report.transfers.transferRetries);
-    EXPECT_EQ(d.transferTimeouts, report.transfers.transferTimeouts);
-    EXPECT_EQ(d.transferAborts, report.transfers.transferAborts);
-    EXPECT_GT(d.rejoins, 0u);
+    const JsonValue doc = JsonValue::parse(reportToJson(report));
+    const JsonValue& scheduler = doc.at("scheduler");
+    const JsonValue& transfers = doc.at("transfers");
+    EXPECT_EQ(counter(scheduler, "restarts"), report.restarts);
+    EXPECT_EQ(counter(scheduler, "checkpoint_restores"),
+              report.checkpointRestores);
+    EXPECT_EQ(counter(scheduler, "rejected"), report.rejected);
+    EXPECT_EQ(counter(scheduler, "rejoins"), report.rejoins);
+    EXPECT_EQ(counter(transfers, "faults"), report.transfers.transferFaults);
+    EXPECT_EQ(counter(transfers, "retries"),
+              report.transfers.transferRetries);
+    EXPECT_EQ(counter(transfers, "timeouts"),
+              report.transfers.transferTimeouts);
+    EXPECT_EQ(counter(transfers, "aborts"), report.transfers.transferAborts);
+    EXPECT_GT(counter(scheduler, "rejoins"), 0u);
 }
 
-TEST(ReportDigestTest, MalformedJsonIsFatal)
+TEST(ReportJsonTest, MalformedJsonIsFatal)
 {
-    EXPECT_THROW(reportDigestFromJson("not json"), std::runtime_error);
-    EXPECT_THROW(reportDigestFromJson("{\"design\":{}}"),
+    EXPECT_THROW(JsonValue::parse("not json"), std::runtime_error);
+    EXPECT_THROW(JsonValue::parse("{\"design\":{}}").at("requests"),
                  std::runtime_error);
 }
 

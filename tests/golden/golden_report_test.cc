@@ -174,9 +174,9 @@ TEST(GoldenReportTest, PrefixSmallMatchesGolden)
     // The prefix policy must actually engage in the pinned
     // configuration; a silent fall-back to the default path would
     // otherwise golden an empty cache.
-    const ReportDigest digest = reportDigestFromJson(actual);
-    ASSERT_TRUE(digest.hasPrefixCache);
-    ASSERT_GT(digest.prefixHits, 0u);
+    const JsonValue doc = JsonValue::parse(actual);
+    ASSERT_TRUE(doc.has("prefix_cache"));
+    ASSERT_GT(doc.at("prefix_cache").at("hits").asInt(), 0);
     checkGolden("prefix_small.json", actual);
 }
 

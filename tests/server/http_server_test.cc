@@ -15,6 +15,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -88,31 +89,44 @@ class ServerFixture : public ::testing::Test {
     std::unique_ptr<HttpServer> http_;
 };
 
+/** Connect to the loopback server and send @p raw verbatim; the
+ *  connected socket, or -1 on failure. */
+int
+connectAndSend(int port, const std::string& raw)
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    if (fd < 0)
+        return -1;
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(static_cast<std::uint16_t>(port));
+    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) !=
+            0 ||
+        ::send(fd, raw.data(), raw.size(), MSG_NOSIGNAL) !=
+            static_cast<ssize_t>(raw.size())) {
+        ::close(fd);
+        return -1;
+    }
+    return fd;
+}
+
 /** Send @p raw verbatim and read the response until the server
  *  closes, giving up after @p timeout_s without a byte. */
 std::string
 rawExchange(int port, const std::string& raw, int timeout_s)
 {
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    const int fd = connectAndSend(port, raw);
     if (fd < 0)
         return "";
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
     timeval timeout{};
     timeout.tv_sec = timeout_s;
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
     std::string response;
-    if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) ==
-            0 &&
-        ::send(fd, raw.data(), raw.size(), MSG_NOSIGNAL) ==
-            static_cast<ssize_t>(raw.size())) {
-        char buffer[4096];
-        ssize_t n;
-        while ((n = ::recv(fd, buffer, sizeof buffer, 0)) > 0)
-            response.append(buffer, static_cast<std::size_t>(n));
-    }
+    char buffer[4096];
+    ssize_t n;
+    while ((n = ::recv(fd, buffer, sizeof buffer, 0)) > 0)
+        response.append(buffer, static_cast<std::size_t>(n));
     ::close(fd);
     return response;
 }
@@ -301,6 +315,29 @@ TEST_F(ServerFixture, OversizedRequestsAreRejectedNotFatal)
     EXPECT_EQ(ingress_.rejectedByAdmission(), 2u);
     EXPECT_EQ(ingress_.completed(), 1u);
     EXPECT_EQ(ingress_.unresolved(), 0u);  // leaked=0
+}
+
+TEST_F(ServerFixture, IdleClientCannotHangStop)
+{
+    // A client that sends half a header and then goes quiet. stop()
+    // joins every connection thread, so the server's socket deadline
+    // is all that lets it return while the client stays connected.
+    const int fd =
+        connectAndSend(port(), "POST /v1/completions HTTP/1.1\r\nHost:");
+    ASSERT_GE(fd, 0);
+    // Connections are accepted in order: once a later one completes,
+    // the idle one has its own thread, blocked reading.
+    expectCompletes(port());
+    drain();
+
+    auto stopped = std::async(std::launch::async, [this] { http_->stop(); });
+    // Well past the deadline, with slack for sanitizer builds; the
+    // client is closed afterwards so a hung stop() fails, not hangs.
+    const bool returned = stopped.wait_for(std::chrono::seconds(10)) ==
+                          std::future_status::ready;
+    ::close(fd);
+    stopped.get();
+    EXPECT_TRUE(returned) << "stop() waited on an idle client";
 }
 
 TEST_F(ServerFixture, ShutdownDrainsAndRejectsNewWork)
