@@ -26,6 +26,8 @@
 #include <string>
 #include <vector>
 
+#include "sim/log.h"
+
 namespace splitwise::bench {
 
 class ArgParser {
@@ -106,7 +108,8 @@ class ArgParser {
     /**
      * Register a post-parse validation hook; it runs after all flags
      * are applied and should call ArgParser::fail() or sim::fatal()
-     * on invalid combinations. Either way the process exits 2.
+     * on invalid combinations. Either way the process prints one
+     * diagnostic and exits 2.
      */
     void addValidator(std::function<void()> validator)
     {
@@ -148,12 +151,17 @@ class ArgParser {
             if (spec.required && !spec.seen)
                 fail("missing required flag " + spec.name);
         }
+        // sim::fatal logs its message before it throws; mute the
+        // logger so that fail() prints the one diagnostic.
+        const sim::LogLevel level = sim::Log::level();
+        sim::Log::setLevel(sim::LogLevel::kOff);
         try {
             for (const auto& validator : validators_)
                 validator();
         } catch (const std::exception& e) {
             fail(e.what());
         }
+        sim::Log::setLevel(level);
     }
 
     /** Print a diagnostic and exit 2 (non-zero per the bench CLI contract). */

@@ -2,6 +2,7 @@
 
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -20,11 +21,28 @@ namespace {
  *  body is answered 413 before any of it is read. */
 constexpr std::size_t kMaxRequestBytes = std::size_t{1} << 20;
 
-/** Receive and send deadline on every accepted socket. A client that
- *  goes quiet mid-request, or stops reading its response, for this
- *  long is dropped, so no connection holds its thread (and stop(),
- *  which joins every thread) forever. */
-constexpr timeval kSocketDeadline{2, 0};
+/** Deadline on every accepted socket: the whole request, header and
+ *  body, must arrive within this long of accept, and no send of the
+ *  response may block longer. A client that dribbles its request or
+ *  stops reading its response is dropped, so no connection holds its
+ *  thread (and stop(), which joins every thread) forever. */
+constexpr std::chrono::seconds kSocketDeadline{2};
+
+/** recv() into @p buffer, waiting no later than @p deadline.
+ *  @return bytes read; 0 or less on close, error or a missed
+ *  deadline. */
+ssize_t
+recvBefore(int fd, char* buffer, std::size_t size,
+           std::chrono::steady_clock::time_point deadline)
+{
+    const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        deadline - std::chrono::steady_clock::now());
+    pollfd ready{fd, POLLIN, 0};
+    if (left.count() <= 0 ||
+        ::poll(&ready, 1, static_cast<int>(left.count())) <= 0)
+        return -1;
+    return ::recv(fd, buffer, size, 0);
+}
 
 const char*
 statusText(int status)
@@ -200,12 +218,13 @@ HttpServer::acceptLoop()
                 return;
             continue;
         }
+        const auto deadline = std::chrono::steady_clock::now() +
+                              kSocketDeadline;
         const int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
-        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &kSocketDeadline,
-                     sizeof kSocketDeadline);
-        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &kSocketDeadline,
-                     sizeof kSocketDeadline);
+        const timeval send_deadline{kSocketDeadline.count(), 0};
+        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &send_deadline,
+                     sizeof send_deadline);
         std::lock_guard<std::mutex> lock(connMu_);
         // A finished thread has only its exit left: the join is quick.
         connections_.remove_if([](Connection& c) {
@@ -214,8 +233,8 @@ HttpServer::acceptLoop()
             return c.finished;
         });
         Connection& conn = connections_.emplace_back();
-        conn.thread = std::thread([this, fd, &conn] {
-            handleConnection(fd);
+        conn.thread = std::thread([this, fd, deadline, &conn] {
+            handleConnection(fd, deadline);
             std::lock_guard<std::mutex> done(connMu_);
             conn.finished = true;
         });
@@ -223,14 +242,15 @@ HttpServer::acceptLoop()
 }
 
 void
-HttpServer::handleConnection(int fd)
+HttpServer::handleConnection(int fd,
+                             std::chrono::steady_clock::time_point deadline)
 {
     // Read until the header terminator, then Content-Length more.
     std::string data;
     std::size_t header_end = std::string::npos;
     char buffer[4096];
     while (header_end == std::string::npos) {
-        const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
+        const ssize_t n = recvBefore(fd, buffer, sizeof buffer, deadline);
         if (n <= 0) {
             ::close(fd);
             return;
@@ -290,9 +310,14 @@ HttpServer::handleConnection(int fd)
 
         std::string body = data.substr(header_end + 4);
         while (body.size() < content_length) {
-            const ssize_t n = ::recv(fd, buffer, sizeof buffer, 0);
-            if (n <= 0)
-                break;
+            const ssize_t n =
+                recvBefore(fd, buffer, sizeof buffer, deadline);
+            if (n <= 0) {
+                // Closed or timed out short of Content-Length: a
+                // truncated request is never dispatched.
+                ::close(fd);
+                return;
+            }
             body.append(buffer, static_cast<std::size_t>(n));
         }
         request.body = std::move(body);

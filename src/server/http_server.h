@@ -14,6 +14,7 @@
  */
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <list>
@@ -99,7 +100,10 @@ class HttpServer {
     };
 
     void acceptLoop();
-    void handleConnection(int fd);
+    /** Read one request from @p fd, dispatch it, close @p fd. A
+     *  request not fully read by @p deadline is dropped unserved. */
+    void handleConnection(int fd,
+                          std::chrono::steady_clock::time_point deadline);
 
     HttpHandler handler_;
     int listenFd_ = -1;

@@ -25,8 +25,8 @@ firstChildOf(std::uint32_t pos)
 
 }  // namespace
 
-EventId
-EventQueue::push(TimeUs time, EventAction action, int priority)
+void
+EventQueue::post(TimeUs time, EventAction action, int priority)
 {
     if (!action)
         panic("EventQueue: scheduling an empty action");
@@ -47,31 +47,9 @@ EventQueue::push(TimeUs time, EventAction action, int priority)
     r.seq = nextSeq_++;
     r.action = std::move(action);
 
-    const std::uint32_t pos = static_cast<std::uint32_t>(heap_.size());
     heap_.push_back(slot);
-    r.heapPos = pos;
-    siftUp(pos);
-
+    siftUp(static_cast<std::uint32_t>(heap_.size()) - 1);
     ++scheduled_;
-    return makeId(slot, r.gen);
-}
-
-bool
-EventQueue::cancel(EventId id)
-{
-    const std::uint32_t slot = idSlot(id);
-    if (slot >= records_.size() || records_[slot].gen != idGen(id))
-        return false;
-    removeAt(records_[slot].heapPos);
-    retire(slot);
-    return true;
-}
-
-bool
-EventQueue::pending(EventId id) const
-{
-    const std::uint32_t slot = idSlot(id);
-    return slot < records_.size() && records_[slot].gen == idGen(id);
 }
 
 TimeUs
@@ -88,35 +66,16 @@ EventQueue::pop()
     const std::uint32_t slot = heap_.front();
     Record& r = records_[slot];
 
-    Event ev;
-    ev.time = r.time;
-    ev.priority = r.priority;
-    ev.id = makeId(slot, r.gen);
-    // Move the action out before touching the heap: the record is
-    // retired below so a callback can immediately recycle the slot.
-    ev.action = std::move(r.action);
+    // Moving the action out empties the record, so the slot can be
+    // recycled at once, even by the callback about to run.
+    Event ev{r.time, std::move(r.action)};
+    free_.push_back(slot);
 
-    removeAt(0);
-    retire(slot);
+    heap_.front() = heap_.back();
+    heap_.pop_back();
+    if (!heap_.empty())
+        siftDown(0);
     return ev;
-}
-
-void
-EventQueue::removeAt(std::uint32_t pos)
-{
-    const std::uint32_t last = static_cast<std::uint32_t>(heap_.size()) - 1;
-    if (pos != last) {
-        const std::uint32_t moved = heap_[last];
-        heap_[pos] = moved;
-        records_[moved].heapPos = pos;
-        heap_.pop_back();
-        // The moved entry may order either way relative to the hole's
-        // neighbourhood; one of the two sifts is a no-op.
-        siftDown(pos);
-        siftUp(records_[moved].heapPos);
-    } else {
-        heap_.pop_back();
-    }
 }
 
 void
@@ -128,19 +87,15 @@ EventQueue::siftUp(std::uint32_t pos)
         if (!before(slot, heap_[parent]))
             break;
         heap_[pos] = heap_[parent];
-        records_[heap_[pos]].heapPos = pos;
         pos = parent;
     }
     heap_[pos] = slot;
-    records_[slot].heapPos = pos;
 }
 
 void
 EventQueue::siftDown(std::uint32_t pos)
 {
     const std::uint32_t n = static_cast<std::uint32_t>(heap_.size());
-    if (n == 0)
-        return;
     const std::uint32_t slot = heap_[pos];
     while (true) {
         const std::uint32_t first = firstChildOf(pos);
@@ -155,11 +110,9 @@ EventQueue::siftDown(std::uint32_t pos)
         if (!before(heap_[best], slot))
             break;
         heap_[pos] = heap_[best];
-        records_[heap_[pos]].heapPos = pos;
         pos = best;
     }
     heap_[pos] = slot;
-    records_[slot].heapPos = pos;
 }
 
 void
@@ -185,11 +138,6 @@ EventQueue::integrityError() const
         const std::uint32_t slot = heap_[pos];
         if (slot >= records_.size())
             return "heap entry " + std::to_string(pos) + " out of pool";
-        if (records_[slot].heapPos != pos) {
-            return "slot " + std::to_string(slot) + " thinks it is at " +
-                   std::to_string(records_[slot].heapPos) + ", found at " +
-                   std::to_string(pos);
-        }
         if (!records_[slot].action)
             return "pending slot " + std::to_string(slot) +
                    " holds no action";
@@ -201,9 +149,9 @@ EventQueue::integrityError() const
     for (const std::uint32_t slot : free_) {
         if (slot >= records_.size())
             return "free-list entry out of pool";
-        if (records_[slot].heapPos != kNotInHeap)
+        if (records_[slot].action)
             return "free slot " + std::to_string(slot) +
-                   " still claims a heap position";
+                   " still holds an action";
     }
     return {};
 }

@@ -22,49 +22,24 @@ Simulator::panicNegativeDelay() const
 Simulator::HookId
 Simulator::addTimeAdvanceHook(TimeAdvanceHook hook)
 {
-    extraHooks_.push_back(std::move(hook));
-    return extraHooks_.size() - 1;
+    hooks_.push_back(std::move(hook));
+    return hooks_.size() - 1;
 }
 
 void
 Simulator::removeTimeAdvanceHook(HookId id)
 {
-    if (id < extraHooks_.size())
-        extraHooks_[id] = nullptr;
+    if (id < hooks_.size())
+        hooks_[id] = nullptr;
 }
 
 void
 Simulator::fireTimeAdvance(TimeUs next)
 {
-    if (timeAdvanceHook_)
-        timeAdvanceHook_(next);
-    for (const auto& hook : extraHooks_) {
+    for (const auto& hook : hooks_) {
         if (hook)
             hook(next);
     }
-}
-
-std::uint64_t
-Simulator::run(TimeUs until)
-{
-    std::uint64_t ran = 0;
-    stopRequested_ = false;
-    while (!queue_.empty() && !stopRequested_) {
-        if (queue_.nextTime() > until)
-            break;
-        Event ev = queue_.pop();
-        if (ev.time > now_)
-            fireTimeAdvance(ev.time);
-        now_ = ev.time;
-        ev.action();
-        ++ran;
-        ++executed_;
-    }
-    // Advancing the clock to the horizon keeps back-to-back run()
-    // calls with increasing horizons consistent even when idle.
-    if (until != kTimeNever && now_ < until && queue_.nextTime() > until)
-        now_ = until;
-    return ran;
 }
 
 bool
@@ -79,6 +54,13 @@ Simulator::step()
     ev.action();
     ++executed_;
     return true;
+}
+
+void
+Simulator::run()
+{
+    while (step()) {
+    }
 }
 
 }  // namespace splitwise::sim

@@ -15,15 +15,11 @@ namespace splitwise::sim {
 /**
  * The discrete-event simulation driver.
  *
- * Owns the simulated clock and the event queue. Components schedule
+ * Owns the simulated clock and the event queue. Components post
  * callbacks at absolute or relative times; run() executes events in
- * deterministic order until the queue drains or a stop condition
- * fires.
- *
- * Two scheduling families mirror the queue's ownership model:
- * post()/postAfter() for fire-and-forget events (the overwhelmingly
- * common case) and schedule()/scheduleAfter() returning an RAII
- * EventHandle when the caller may need to cancel.
+ * deterministic order until the queue drains. A component that may
+ * need to drop an event it posted captures an epoch and ignores the
+ * event if the epoch has moved on when it fires.
  */
 class Simulator {
   public:
@@ -68,41 +64,8 @@ class Simulator {
         queue_.post(now_ + delay, std::move(action), priority);
     }
 
-    /**
-     * Schedule an action at an absolute time and own it: the
-     * returned handle cancels the event when destroyed (see
-     * EventHandle::release() to opt out).
-     */
-    [[nodiscard]] EventHandle
-    schedule(TimeUs time, EventAction action, int priority = 0)
-    {
-        checkNotPast(time);
-        return queue_.schedule(time, std::move(action), priority);
-    }
-
-    /** Handle-owning variant of postAfter(). */
-    [[nodiscard]] EventHandle
-    scheduleAfter(TimeUs delay, EventAction action, int priority = 0)
-    {
-        checkDelay(delay);
-        return queue_.schedule(now_ + delay, std::move(action), priority);
-    }
-
-    /**
-     * Cancel by raw id (from EventHandle::release()); no-op if the
-     * event already executed.
-     */
-    void cancel(EventId id) { queue_.cancel(id); }
-
-    /**
-     * Run until the event queue drains or simulated time exceeds
-     * @p until.
-     *
-     * @param until Inclusive time horizon; events stamped later stay
-     *     queued. Defaults to "run to completion".
-     * @return Number of events executed by this call.
-     */
-    std::uint64_t run(TimeUs until = kTimeNever);
+    /** Run until the event queue drains. */
+    void run();
 
     /**
      * Execute exactly one event if one is pending.
@@ -110,9 +73,6 @@ class Simulator {
      * @return true if an event ran.
      */
     bool step();
-
-    /** Request that run() return after the current event completes. */
-    void requestStop() { stopRequested_ = true; }
 
     /**
      * Observer invoked whenever the clock is about to advance, with
@@ -130,18 +90,7 @@ class Simulator {
     using HookId = std::size_t;
 
     /**
-     * Single-slot hook, kept for the common one-observer case (the
-     * time-series sampler). Pass nullptr to detach. Runs before any
-     * addTimeAdvanceHook() observers.
-     */
-    void setTimeAdvanceHook(TimeAdvanceHook hook)
-    {
-        timeAdvanceHook_ = std::move(hook);
-    }
-
-    /**
-     * Attach an additional time-advance observer. Hooks run in
-     * attachment order, after the setTimeAdvanceHook() slot.
+     * Attach a time-advance observer. Hooks run in attachment order.
      *
      * @return Handle for removeTimeAdvanceHook().
      */
@@ -162,9 +111,6 @@ class Simulator {
      * allocation tests.
      */
     const EventQueue& eventQueue() const { return queue_; }
-
-    /** Pre-size the event pool for an expected pending-event depth. */
-    void reserveEvents(std::size_t events) { queue_.reserve(events); }
 
   private:
     /** Fire every attached hook for an advance to @p next. */
@@ -190,10 +136,8 @@ class Simulator {
     EventQueue queue_;
     TimeUs now_ = 0;
     std::uint64_t executed_ = 0;
-    bool stopRequested_ = false;
-    TimeAdvanceHook timeAdvanceHook_;
-    /** Extra observers; removal nulls the slot to keep ids stable. */
-    std::vector<TimeAdvanceHook> extraHooks_;
+    /** Attached observers; removal nulls the slot to keep ids stable. */
+    std::vector<TimeAdvanceHook> hooks_;
 };
 
 }  // namespace splitwise::sim

@@ -142,7 +142,7 @@ TimeSeriesSampler::install()
     series_.columns.push_back("t_s");
     for (const auto& name : registry_.names())
         series_.columns.push_back(name);
-    simulator_.setTimeAdvanceHook(
+    hook_ = simulator_.addTimeAdvanceHook(
         [this](sim::TimeUs next) { onAdvance(next); });
     emitRow(simulator_.now());
     nextSample_ = simulator_.now() + interval_;
@@ -167,7 +167,7 @@ void
 TimeSeriesSampler::finish()
 {
     emitRow(simulator_.now());
-    simulator_.setTimeAdvanceHook(nullptr);
+    simulator_.removeTimeAdvanceHook(hook_);
 }
 
 void

@@ -88,6 +88,8 @@ class TimeSeriesSampler {
     sim::TimeUs interval_;
     sim::TimeUs nextSample_ = 0;
     sim::TimeUs lastRowTs_ = -1;
+    /** The simulator hook install() attached; finish() detaches it. */
+    sim::Simulator::HookId hook_ = 0;
     TimeSeries series_;
 };
 

@@ -103,7 +103,9 @@ TEST(ArgParserDeathTest, ValidatorFatalExits2)
 {
     // Validators report bad combinations with sim::fatal, which
     // throws; the parser must turn that into the exit-2 contract
-    // instead of letting it escape main as an abort.
+    // instead of letting it escape main as an abort, and stderr must
+    // hold fail()'s diagnostic alone, without the logger's
+    // "[error] fatal: ..." copy of it.
     ArgParser parser("bench_x", "test parser");
     int jobs = 0;
     parser.addInt("--jobs", &jobs, "worker count");
@@ -113,7 +115,9 @@ TEST(ArgParserDeathTest, ValidatorFatalExits2)
     });
     Argv args({"bench_x", "--jobs=-1"});
     EXPECT_EXIT(parser.parse(args.argc(), args.argv()),
-                ::testing::ExitedWithCode(2), "--jobs must be >= 0");
+                ::testing::ExitedWithCode(2),
+                "^bench_x: --jobs must be >= 0\n"
+                "run 'bench_x --help' for usage\n$");
 }
 
 TEST(ArgParserDeathTest, HelpExitsZeroAndListsFlags)

@@ -198,9 +198,10 @@ TEST_F(MachineTest, MixedIterationCountsWhenPromptMeetsDecodes)
     cfg.policy = BatchPolicy::kMixed;
     Machine& m = makeMachine(cfg);
     m.submitPrompt(makeRequest(500, 50));
-    sim_.run(sim_.now() + perf_.promptTime(500, 1) + 1000);
-    // Decode now resident; a newly arriving prompt joins mid-flight.
-    m.submitPrompt(makeRequest(500, 50));
+    // Once the first prompt is done its decode is resident; a second
+    // prompt arriving then joins mid-flight.
+    sim_.post(sim_.now() + perf_.promptTime(500, 1) + 1000,
+              [this, &m] { m.submitPrompt(makeRequest(500, 50)); });
     sim_.run();
     EXPECT_GE(m.stats().mixedIterations, 1u);
     EXPECT_EQ(done_.size(), 2u);

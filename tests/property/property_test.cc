@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <tuple>
 #include <vector>
 
@@ -266,55 +267,55 @@ TEST(SummaryProperty, PercentilesMatchSortedReference)
 }
 
 // ---------------------------------------------------------------
-// EventQueue randomized schedule/cancel/pop against a reference
-// model (multiset of live entries).
+// EventQueue randomized post/pop against a reference model: a sorted
+// set of (time, priority, insertion) keys. Each action records its
+// own key, so a pop checks the tie-breaks, not just the time.
 // ---------------------------------------------------------------
 
 TEST(EventQueueProperty, RandomOpsMatchReferenceModel)
 {
+    using Key = std::tuple<std::int64_t, int, std::uint64_t>;
     sim::EventQueue queue;
-    // Reference: map id -> time for live events.
-    std::map<sim::EventId, std::int64_t> reference;
-    std::vector<sim::EventId> all_ids;
+    std::set<Key> reference;
+    std::uint64_t inserted = 0;
+    Key fired{};
     sim::Rng rng(4242);
 
-    auto reference_next = [&]() -> std::int64_t {
-        std::int64_t best = INT64_MAX;
-        for (const auto& [id, t] : reference)
-            best = std::min(best, t);
-        return best;
+    auto pop_and_check = [&] {
+        sim::Event ev = queue.pop();
+        ev.action();
+        ASSERT_EQ(fired, *reference.begin());
+        ASSERT_EQ(ev.time, std::get<0>(fired));
+        reference.erase(reference.begin());
     };
 
     for (int step = 0; step < 4000; ++step) {
-        const int op = static_cast<int>(rng.uniformInt(0, 2));
-        if (op == 0 || reference.empty()) {
-            const std::int64_t t = rng.uniformInt(0, 1000);
-            const auto id = queue.schedule(t, [] {}).release();
-            reference[id] = t;
-            all_ids.push_back(id);
-        } else if (op == 1) {
-            // Cancel a random known id (live or not).
-            const auto id = all_ids[static_cast<std::size_t>(
-                rng.uniformInt(0, static_cast<std::int64_t>(
-                                      all_ids.size() - 1)))];
-            queue.cancel(id);
-            reference.erase(id);
+        // Two posts per pop on average, so the heap grows deep; narrow
+        // time and priority ranges make ties common.
+        if (reference.empty() || rng.uniformInt(0, 2) != 0) {
+            const Key key{rng.uniformInt(0, 200),
+                          static_cast<int>(rng.uniformInt(0, 2)),
+                          inserted++};
+            queue.post(
+                std::get<0>(key), [&fired, key] { fired = key; },
+                std::get<1>(key));
+            reference.insert(key);
         } else {
-            const auto ev = queue.pop();
-            // Must be a live reference entry at the minimum time.
-            const auto it = reference.find(ev.id);
-            ASSERT_NE(it, reference.end()) << "step " << step;
-            ASSERT_EQ(it->second, ev.time);
-            ASSERT_EQ(it->second, reference_next());
-            reference.erase(it);
+            pop_and_check();
+            ASSERT_FALSE(HasFatalFailure()) << "step " << step;
         }
         ASSERT_EQ(queue.size(), reference.size());
-        ASSERT_EQ(queue.empty(), reference.empty());
-        if (!reference.empty()) {
-            ASSERT_EQ(queue.nextTime(), reference_next());
-        }
+        ASSERT_EQ(queue.nextTime(), reference.empty()
+                                        ? sim::kTimeNever
+                                        : std::get<0>(*reference.begin()));
         ASSERT_EQ(queue.integrityError(), "") << "step " << step;
     }
+    while (!reference.empty()) {
+        pop_and_check();
+        ASSERT_FALSE(HasFatalFailure());
+    }
+    EXPECT_TRUE(queue.empty());
+    EXPECT_EQ(queue.integrityError(), "");
 }
 
 // ---------------------------------------------------------------

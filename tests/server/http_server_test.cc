@@ -13,6 +13,7 @@
 #include <sys/time.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <chrono>
 #include <cstdint>
 #include <future>
@@ -111,14 +112,11 @@ connectAndSend(int port, const std::string& raw)
     return fd;
 }
 
-/** Send @p raw verbatim and read the response until the server
- *  closes, giving up after @p timeout_s without a byte. */
+/** Read from @p fd until the server closes it, giving up after
+ *  @p timeout_s without a byte; closes @p fd. */
 std::string
-rawExchange(int port, const std::string& raw, int timeout_s)
+readUntilClosed(int fd, int timeout_s)
 {
-    const int fd = connectAndSend(port, raw);
-    if (fd < 0)
-        return "";
     timeval timeout{};
     timeout.tv_sec = timeout_s;
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
@@ -129,6 +127,15 @@ rawExchange(int port, const std::string& raw, int timeout_s)
         response.append(buffer, static_cast<std::size_t>(n));
     ::close(fd);
     return response;
+}
+
+/** Send @p raw verbatim and read the response until the server
+ *  closes, giving up after @p timeout_s without a byte. */
+std::string
+rawExchange(int port, const std::string& raw, int timeout_s)
+{
+    const int fd = connectAndSend(port, raw);
+    return fd < 0 ? "" : readUntilClosed(fd, timeout_s);
 }
 
 /** POST a small valid completion and check it streams to the end. */
@@ -338,6 +345,61 @@ TEST_F(ServerFixture, IdleClientCannotHangStop)
     ::close(fd);
     stopped.get();
     EXPECT_TRUE(returned) << "stop() waited on an idle client";
+}
+
+TEST_F(ServerFixture, DribblingClientIsDroppedAtTheDeadline)
+{
+    // A client that sends its header one byte every 0.5 s. Every read
+    // gets a byte in time, so only a deadline on the whole request,
+    // not on each read, ever drops it.
+    const std::string header =
+        "POST /v1/completions HTTP/1.1\r\nHost: 127.0.0.1\r\n";
+    const auto start = std::chrono::steady_clock::now();
+    const int fd = connectAndSend(port(), header.substr(0, 1));
+    ASSERT_GE(fd, 0);
+    timeval drip{};
+    drip.tv_usec = 500'000;
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &drip, sizeof drip);
+    bool dropped = false;
+    char byte;
+    // Twelve drips (6 s) is three times the deadline.
+    for (std::size_t i = 1; i <= 12 && !dropped; ++i) {
+        // A read that ends before the 0.5 s timeout is the server's
+        // close; a timeout means the connection is still open.
+        dropped = ::recv(fd, &byte, 1, 0) >= 0 ||
+                  (errno != EAGAIN && errno != EWOULDBLOCK) ||
+                  ::send(fd, &header[i], 1, MSG_NOSIGNAL) != 1;
+    }
+    const auto elapsed = std::chrono::steady_clock::now() - start;
+    ::close(fd);
+    EXPECT_TRUE(dropped) << "the server kept a dribbling client for 6 s";
+    EXPECT_LT(elapsed, std::chrono::milliseconds(3500));
+
+    expectCompletes(port());
+    drain();
+    EXPECT_EQ(ingress_.completed(), 1u);
+    EXPECT_EQ(ingress_.unresolved(), 0u);  // leaked=0
+}
+
+TEST_F(ServerFixture, TruncatedBodyIsNotDispatched)
+{
+    // The body is valid JSON on its own, but the client declared 100
+    // bytes and half-closed after 37: the request must not be served.
+    const int fd = connectAndSend(
+        port(),
+        "POST /v1/completions HTTP/1.1\r\nHost: 127.0.0.1\r\n"
+        "Content-Length: 100\r\n\r\n"
+        "{\"prompt_tokens\":4,\"output_tokens\":2}");
+    ASSERT_GE(fd, 0);
+    ::shutdown(fd, SHUT_WR);
+    const std::string response = readUntilClosed(fd, 5);
+    EXPECT_NE(response.rfind("HTTP/1.1 200 ", 0), 0u) << response;
+    EXPECT_EQ(ingress_.accepted(), 0u);
+
+    expectCompletes(port());
+    drain();
+    EXPECT_EQ(ingress_.accepted(), 1u);
+    EXPECT_EQ(ingress_.unresolved(), 0u);  // leaked=0
 }
 
 TEST_F(ServerFixture, ShutdownDrainsAndRejectsNewWork)

@@ -21,8 +21,8 @@ TEST(SimulatorTest, RunAdvancesClockToEventTimes)
     std::vector<TimeUs> seen;
     s.post(100, [&] { seen.push_back(s.now()); });
     s.post(250, [&] { seen.push_back(s.now()); });
-    const auto ran = s.run();
-    EXPECT_EQ(ran, 2u);
+    s.run();
+    EXPECT_EQ(s.executedEvents(), 2u);
     EXPECT_EQ(seen, (std::vector<TimeUs>{100, 250}));
     EXPECT_EQ(s.now(), 250);
 }
@@ -36,23 +36,6 @@ TEST(SimulatorTest, ScheduleAfterIsRelative)
     });
     s.run();
     EXPECT_EQ(fired_at, 150);
-}
-
-TEST(SimulatorTest, RunUntilHorizonLeavesLaterEventsQueued)
-{
-    Simulator s;
-    int count = 0;
-    s.post(10, [&] { ++count; });
-    s.post(20, [&] { ++count; });
-    s.post(30, [&] { ++count; });
-    const auto ran = s.run(20);
-    EXPECT_EQ(ran, 2u);
-    EXPECT_EQ(count, 2);
-    EXPECT_EQ(s.pendingEvents(), 1u);
-    // Idle clock advances to the horizon.
-    EXPECT_EQ(s.now(), 20);
-    s.run();
-    EXPECT_EQ(count, 3);
 }
 
 TEST(SimulatorTest, EventsCanScheduleMoreEvents)
@@ -82,61 +65,6 @@ TEST(SimulatorTest, StepExecutesOneEvent)
     EXPECT_EQ(count, 2);
 }
 
-TEST(SimulatorTest, RequestStopHaltsRun)
-{
-    Simulator s;
-    int count = 0;
-    s.post(1, [&] {
-        ++count;
-        s.requestStop();
-    });
-    s.post(2, [&] { ++count; });
-    s.run();
-    EXPECT_EQ(count, 1);
-    EXPECT_EQ(s.pendingEvents(), 1u);
-    // A later run() resumes.
-    s.run();
-    EXPECT_EQ(count, 2);
-}
-
-TEST(SimulatorTest, CancelPreventsExecution)
-{
-    Simulator s;
-    bool ran = false;
-    EventHandle handle = s.schedule(10, [&] { ran = true; });
-    handle.cancel();
-    s.run();
-    EXPECT_FALSE(ran);
-}
-
-TEST(SimulatorTest, DroppedHandleAutoCancels)
-{
-    Simulator s;
-    bool ran = false;
-    {
-        EventHandle handle = s.schedule(10, [&] { ran = true; });
-        EXPECT_TRUE(handle.pending());
-    }
-    s.run();
-    EXPECT_FALSE(ran);
-}
-
-TEST(SimulatorTest, ReleasedHandleKeepsEventScheduled)
-{
-    Simulator s;
-    bool ran = false;
-    EventId id = kInvalidEventId;
-    {
-        EventHandle handle = s.schedule(10, [&] { ran = true; });
-        id = handle.release();
-    }
-    EXPECT_NE(id, kInvalidEventId);
-    s.run();
-    EXPECT_TRUE(ran);
-    // Raw-id cancel after the fact is inert.
-    s.cancel(id);
-}
-
 TEST(SimulatorDeathTest, SchedulingInThePastPanics)
 {
     Simulator s;
@@ -156,7 +84,7 @@ TEST(SimulatorTest, ExecutedEventsAccumulatesAcrossRuns)
     Simulator s;
     s.post(1, [] {});
     s.post(2, [] {});
-    s.run(1);
+    EXPECT_TRUE(s.step());
     s.run();
     EXPECT_EQ(s.executedEvents(), 2u);
 }
@@ -165,7 +93,7 @@ TEST(SimulatorTest, TimeAdvanceHookSeesTheJumpBeforeItHappens)
 {
     Simulator s;
     std::vector<std::pair<TimeUs, TimeUs>> jumps;  // (now, next)
-    s.setTimeAdvanceHook(
+    s.addTimeAdvanceHook(
         [&](TimeUs next) { jumps.emplace_back(s.now(), next); });
     s.post(100, [] {});
     s.post(100, [] {});  // same-time event: no jump, no hook
@@ -180,24 +108,42 @@ TEST(SimulatorTest, TimeAdvanceHookFiresOnStepToo)
 {
     Simulator s;
     TimeUs next_seen = -1;
-    s.setTimeAdvanceHook([&](TimeUs next) { next_seen = next; });
+    s.addTimeAdvanceHook([&](TimeUs next) { next_seen = next; });
     s.post(42, [] {});
     s.step();
     EXPECT_EQ(next_seen, 42);
 }
 
-TEST(SimulatorTest, NullTimeAdvanceHookDetaches)
+TEST(SimulatorTest, RemovedTimeAdvanceHookDetaches)
 {
     Simulator s;
     int fired = 0;
-    s.setTimeAdvanceHook([&](TimeUs) { ++fired; });
+    const Simulator::HookId id =
+        s.addTimeAdvanceHook([&](TimeUs) { ++fired; });
     s.post(10, [] {});
     s.run();
     EXPECT_EQ(fired, 1);
-    s.setTimeAdvanceHook(nullptr);
+    s.removeTimeAdvanceHook(id);
+    s.removeTimeAdvanceHook(id);  // idempotent
     s.post(20, [] {});
     s.run();
     EXPECT_EQ(fired, 1);
+}
+
+TEST(SimulatorTest, TimeAdvanceHooksRunInAttachmentOrder)
+{
+    Simulator s;
+    std::vector<int> order;
+    s.addTimeAdvanceHook([&](TimeUs) { order.push_back(1); });
+    const Simulator::HookId middle =
+        s.addTimeAdvanceHook([&](TimeUs) { order.push_back(2); });
+    s.addTimeAdvanceHook([&](TimeUs) { order.push_back(3); });
+    s.post(10, [] {});
+    s.run();
+    s.removeTimeAdvanceHook(middle);
+    s.post(20, [] {});
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 1, 3}));
 }
 
 TEST(SimulatorTest, SameTimeEventsRunInScheduleOrder)

@@ -272,8 +272,6 @@ done
 
 events_new_churn="$(median "$tmp/rate.new.churn.txt")"
 events_legacy_churn="$(median "$tmp/rate.legacy.churn.txt")"
-events_new_cancel="$(median "$tmp/rate.new.cancel.txt")"
-events_legacy_cancel="$(median "$tmp/rate.legacy.cancel.txt")"
 events_new_ring="$(median "$tmp/rate.new.ring.txt")"
 events_legacy_ring="$(median "$tmp/rate.legacy.ring.txt")"
 events_new_large="$(median "$tmp/rate.new.large.txt")"
@@ -301,7 +299,6 @@ cat > "$OUT_JSON" <<EOF
   "statistic": "median",
   "events_per_sec": {
     "churn": {"new": $events_new_churn, "legacy": $events_legacy_churn},
-    "cancel": {"new": $events_new_cancel, "legacy": $events_legacy_cancel},
     "ring": {"new": $events_new_ring, "legacy": $events_legacy_ring},
     "large": {"new": $events_new_large, "legacy": $events_legacy_large}
   },
