@@ -87,8 +87,10 @@ main(int argc, char** argv)
     }
     std::printf("Paper: the iso-throughput cost-optimal Splitwise-HH for"
                 " coding at 70 RPS is 27 prompt + 3 token machines\n");
-    std::printf("sweep wall-clock: %.3f s (%zu cells, jobs=%d)\n", sweep_s,
-                cells.size(), options.jobs);
+    // Wall-clock and the report path go to stderr, so stdout is the
+    // same for every --jobs and --report-out.
+    std::fprintf(stderr, "sweep wall-clock: %.3f s (%zu cells, jobs=%d)\n",
+                 sweep_s, cells.size(), options.jobs);
 
     if (!report_out.empty()) {
         std::ofstream out(report_out);
@@ -103,7 +105,8 @@ main(int argc, char** argv)
             out << (i + 1 < cells.size() ? ",\n" : "\n");
         }
         out << "]\n";
-        std::printf("wrote per-cell reports to %s\n", report_out.c_str());
+        std::fprintf(stderr, "wrote per-cell reports to %s\n",
+                     report_out.c_str());
     }
     return 0;
 }

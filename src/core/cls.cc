@@ -42,7 +42,8 @@ ClusterScheduler::ClusterScheduler(sim::Simulator& simulator, ClsConfig config,
         add(m, splitwise_ ? PoolType::kPrompt : PoolType::kMixed);
     for (auto* m : token_machines)
         add(m, splitwise_ ? PoolType::kToken : PoolType::kMixed);
-    routed_ = entries_.size();
+    for (const Entry& e : entries_)
+        relist(e, 0);
 }
 
 bool
@@ -52,14 +53,51 @@ ClusterScheduler::isIn(int machine_id, State state) const
     return id < entries_.size() && entries_[id].state == state;
 }
 
+unsigned
+ClusterScheduler::listsOf(const Entry& entry)
+{
+    static_assert(kPromptPool == static_cast<std::size_t>(PoolType::kPrompt) &&
+                  kTokenPool == static_cast<std::size_t>(PoolType::kToken) &&
+                  kMixedPool == static_cast<std::size_t>(PoolType::kMixed));
+    if (entry.state != State::kRouted)
+        return 0;
+    unsigned lists = 1u << kRoutedList;
+    lists |= 1u << static_cast<std::size_t>(entry.pool);
+    const PoolType phase =
+        entry.pool == PoolType::kMixed ? entry.origin : entry.pool;
+    if (phase == PoolType::kPrompt)
+        lists |= 1u << kPromptPhase;
+    else if (phase == PoolType::kToken)
+        lists |= 1u << kTokenPhase;
+    return lists;
+}
+
+void
+ClusterScheduler::relist(const Entry& entry, unsigned before)
+{
+    const unsigned after = listsOf(entry);
+    const int id = entry.machine->id();
+    for (std::size_t list = 0; list < kListCount; ++list) {
+        const unsigned bit = 1u << list;
+        if (((before ^ after) & bit) == 0)
+            continue;
+        std::vector<int>& ids = lists_[list];
+        const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+        if (after & bit)
+            ids.insert(it, id);
+        else
+            ids.erase(it);
+    }
+}
+
 void
 ClusterScheduler::setState(Entry& entry, State state)
 {
-    routed_ += state == State::kRouted;
-    routed_ -= entry.state == State::kRouted;
     standby_ += state == State::kStandby;
     standby_ -= entry.state == State::kStandby;
+    const unsigned before = listsOf(entry);
     entry.state = state;
+    relist(entry, before);
 }
 
 void
@@ -75,7 +113,7 @@ ClusterScheduler::markFailed(int machine_id)
     // capacity - the owner must restore from standby immediately
     // (Cluster's emergency restore). Only a cluster with nothing
     // left anywhere is unrecoverable.
-    if (routed_ == 0 && standby_ == 0)
+    if (liveMachines() == 0 && standby_ == 0)
         sim::fatal("ClusterScheduler: every machine has failed");
 }
 
@@ -104,7 +142,7 @@ ClusterScheduler::retire(int machine_id)
     Entry& e = at(machine_id);
     if (e.state != State::kRouted)
         sim::fatal("ClusterScheduler::retire: machine is not routed");
-    if (routed_ == 1)
+    if (liveMachines() == 1)
         sim::fatal("ClusterScheduler::retire: last routed machine");
     setState(e, State::kStandby);
     ++retires_;
@@ -173,12 +211,7 @@ ClusterScheduler::setBrownoutLevel(int level)
 std::size_t
 ClusterScheduler::poolSize(PoolType pool) const
 {
-    std::size_t n = 0;
-    for (const Entry& e : entries_) {
-        if (e.state == State::kRouted && e.pool == pool)
-            ++n;
-    }
-    return n;
+    return lists_[static_cast<std::size_t>(pool)].size();
 }
 
 bool
@@ -202,56 +235,56 @@ ClusterScheduler::originOf(int machine_id) const
     return entries_.at(static_cast<std::size_t>(machine_id)).origin;
 }
 
-template <typename Ok, typename Load>
+template <typename Load>
 engine::Machine*
-ClusterScheduler::leastLoaded(Ok ok, Load load) const
+ClusterScheduler::pickFrom(const std::vector<int>& ids, Load load) const
 {
+    if (ids.empty())
+        return nullptr;
+    if (config_.routing == RoutingPolicy::kRandom) {
+        const std::int64_t k = routingRng_.uniformInt(
+            0, static_cast<std::int64_t>(ids.size()) - 1);
+        return member(ids[static_cast<std::size_t>(k)]);
+    }
     engine::Machine* best = nullptr;
     std::int64_t best_load = std::numeric_limits<std::int64_t>::max();
-    for (const Entry& e : entries_) {
-        if (e.state != State::kRouted || !ok(e))
-            continue;
-        const std::int64_t l = load(*e.machine);
+    for (const int id : ids) {
+        engine::Machine* m = member(id);
+        const std::int64_t l = load(*m);
         if (l < best_load) {
             best_load = l;
-            best = e.machine;
+            best = m;
         }
     }
     return best;
-}
-
-template <typename Ok, typename Load>
-engine::Machine*
-ClusterScheduler::pick(Ok ok, Load load) const
-{
-    if (config_.routing == RoutingPolicy::kJsq)
-        return leastLoaded(ok, load);
-    std::int64_t eligible = 0;
-    for (const Entry& e : entries_)
-        eligible += e.state == State::kRouted && ok(e);
-    if (eligible == 0)
-        return nullptr;
-    std::int64_t k = routingRng_.uniformInt(0, eligible - 1);
-    for (const Entry& e : entries_) {
-        if (e.state == State::kRouted && ok(e) && k-- == 0)
-            return e.machine;
-    }
-    return nullptr;
 }
 
 engine::Machine*
 ClusterScheduler::pickIn(PoolType pool, PoolType phase) const
 {
     const bool prompt = phase == PoolType::kPrompt;
-    return pick(
-        [pool, phase](const Entry& e) {
-            return e.pool == pool ||
-                   (pool == phase && e.pool == PoolType::kMixed &&
-                    e.origin == phase);
-        },
-        [prompt](const engine::Machine& m) {
-            return prompt ? m.promptQueueDepthTokens() : m.tokenLoadTokens();
+    const std::vector<int>& ids =
+        lists_[pool != phase ? static_cast<std::size_t>(pool)
+               : prompt      ? kPromptPhase
+                             : kTokenPhase];
+    if (prompt) {
+        return pickFrom(ids, [](const engine::Machine& m) {
+            return m.promptQueueDepthTokens();
         });
+    }
+    return pickFrom(
+        ids, [](const engine::Machine& m) { return m.tokenLoadTokens(); });
+}
+
+engine::Machine*
+ClusterScheduler::pickBaseline() const
+{
+    // Pending tokens: queued prompt work plus one per active decode
+    // (a decode contributes one token per iteration).
+    return pickFrom(lists_[kRoutedList], [](const engine::Machine& m) {
+        return m.promptQueueDepthTokens() +
+               static_cast<std::int64_t>(m.mls().residentCount());
+    });
 }
 
 void
@@ -260,7 +293,9 @@ ClusterScheduler::moveToPool(int machine_id, PoolType pool)
     Entry& e = at(machine_id);
     if (e.pool == pool)
         return;
+    const unsigned before = listsOf(e);
     e.pool = pool;
+    relist(e, before);
     if (pool == PoolType::kMixed)
         e.mixedSince = simulator_.now();
     ++poolTransitions_;
@@ -351,23 +386,30 @@ ClusterScheduler::pickRecoveryTokenMachine()
     // a degraded state, so never pull a prompt machine into mixed
     // and never land a recovered decode on a failed or saturated
     // host - a nullptr falls back to a from-scratch restart instead.
-    return leastLoaded(
-        [this](const Entry& e) {
-            return (e.pool == PoolType::kToken ||
-                    e.pool == PoolType::kMixed) &&
-                   !e.machine->failed() && !tokenOverloaded(*e.machine);
-        },
-        [](const engine::Machine& m) { return m.tokenLoadTokens(); });
+    // Least token load across both lists, ties to the lowest id.
+    engine::Machine* best = nullptr;
+    std::int64_t best_load = std::numeric_limits<std::int64_t>::max();
+    for (const List list : {kTokenPool, kMixedPool}) {
+        for (const int id : lists_[list]) {
+            engine::Machine* m = member(id);
+            if (m->failed() || tokenOverloaded(*m))
+                continue;
+            const std::int64_t l = m->tokenLoadTokens();
+            if (l < best_load || (best && l == best_load && id < best->id())) {
+                best_load = l;
+                best = m;
+            }
+        }
+    }
+    return best;
 }
 
 std::int64_t
 ClusterScheduler::queuedPromptTokens() const
 {
     std::int64_t total = 0;
-    for (const Entry& e : entries_) {
-        if (e.state == State::kRouted)
-            total += e.machine->promptQueueDepthTokens();
-    }
+    for (const int id : lists_[kRoutedList])
+        total += member(id)->promptQueueDepthTokens();
     return total;
 }
 
@@ -425,14 +467,7 @@ ClusterScheduler::routeBaseline(engine::LiveRequest* request)
         affinity->submitPrompt(request);
         return;
     }
-    // Pending tokens: queued prompt work plus one per active decode
-    // (a decode contributes one token per iteration).
-    engine::Machine* best = pick(
-        [](const Entry&) { return true; },
-        [](const engine::Machine& m) {
-            return m.promptQueueDepthTokens() +
-                   static_cast<std::int64_t>(m.mls().residentCount());
-        });
+    engine::Machine* best = pickBaseline();
     request->tokenMachine = best->id();
     best->submitPrompt(request);
 }
@@ -509,8 +544,10 @@ ClusterScheduler::onIterationEnd(engine::Machine& machine)
     // Permanent re-purposing after a long mixed-pool stay (SIV-A).
     if (config_.repurposeAfterUs > 0 &&
         simulator_.now() - e.mixedSince > config_.repurposeAfterUs) {
+        const unsigned before = listsOf(e);
         e.origin = e.origin == PoolType::kPrompt ? PoolType::kToken
                                                  : PoolType::kPrompt;
+        relist(e, before);
         ++repurposings_;
     }
 

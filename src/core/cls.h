@@ -1,6 +1,7 @@
 #ifndef SPLITWISE_CORE_CLS_H_
 #define SPLITWISE_CORE_CLS_H_
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -80,8 +81,11 @@ inline constexpr std::int64_t kBrownoutMaxOutputTokens = 256;
  * In baseline (non-Splitwise) mode every machine is standalone and
  * requests are routed whole to the least-loaded machine.
  *
- * Machine state is one table indexed by machine id (0..N-1), scanned
- * in id order: JSQ ties go to the lowest id.
+ * Machine state is one table indexed by machine id (0..N-1). Routing
+ * reads id-ordered member lists, kept current on every membership
+ * change, so an arrival never walks the whole fleet: a random pick is
+ * one draw indexing a list, and JSQ scans one list with ties going to
+ * the lowest id.
  */
 class ClusterScheduler {
   public:
@@ -209,7 +213,7 @@ class ClusterScheduler {
     bool contains(int machine_id) const;
 
     /** Number of live (non-failed) machines across all pools. */
-    std::size_t liveMachines() const { return routed_; }
+    std::size_t liveMachines() const { return lists_[kRoutedList].size(); }
 
     /**
      * Attach a trace recorder: shed/transition/rejoin instants land
@@ -235,6 +239,9 @@ class ClusterScheduler {
     void setPrefixCache(sched::PrefixCache* cache) { prefixCache_ = cache; }
 
   private:
+    /** Test access to the routing picks. */
+    friend class ClusterSchedulerPeer;
+
     /** Routing state: in a pool, retired by the controller (draining
      *  or parked), or failed and waiting for rejoin(). */
     enum class State { kRouted, kStandby, kLost };
@@ -247,31 +254,61 @@ class ClusterScheduler {
         State state = State::kRouted;
     };
 
+    /**
+     * The id-ordered member lists of routed machines. The first three
+     * are indexed like PoolType. A phase view is that phase's pool
+     * plus the mixed-pool machines of that origin.
+     */
+    enum List : std::size_t {
+        kPromptPool,
+        kTokenPool,
+        kMixedPool,
+        kPromptPhase,
+        kTokenPhase,
+        /** Every routed machine (baseline routing). */
+        kRoutedList,
+        kListCount,
+    };
+
     /** The entry of machine @p id; std::out_of_range if unknown. */
     Entry& at(int id) { return entries_.at(static_cast<std::size_t>(id)); }
+
+    /** The machine of list member @p id (unchecked). */
+    engine::Machine*
+    member(int id) const
+    {
+        return entries_[static_cast<std::size_t>(id)].machine;
+    }
 
     /** True when @p machine_id is a known machine in @p state. */
     bool isIn(int machine_id, State state) const;
 
-    /** Flip a machine's routing state, keeping the counts. */
+    /** Bit set (1 << List) of the lists @p entry belongs to. */
+    static unsigned listsOf(const Entry& entry);
+
+    /** Bring the lists up to date after @p entry changed from a
+     *  membership of @p before: one sorted insert or erase per list
+     *  joined or left. */
+    void relist(const Entry& entry, unsigned before);
+
+    /** Flip a machine's routing state, keeping counts and lists. */
     void setState(Entry& entry, State state);
 
-    /** Routed machine passing @p ok with the least @p load (ties to
-     *  the lowest id); nullptr when none passes. */
-    template <typename Ok, typename Load>
-    engine::Machine* leastLoaded(Ok ok, Load load) const;
-
-    /** leastLoaded() under JSQ; under kRandom, one uniform draw over
-     *  the routed machines passing @p ok. */
-    template <typename Ok, typename Load>
-    engine::Machine* pick(Ok ok, Load load) const;
+    /** Under JSQ, the machine of @p ids with the least @p load (ties
+     *  to the lowest id); under kRandom, one uniform draw indexing
+     *  @p ids. nullptr, with no draw, when @p ids is empty. */
+    template <typename Load>
+    engine::Machine* pickFrom(const std::vector<int>& ids, Load load) const;
 
     /**
-     * pick() among the machines taking @p phase work in @p pool, by
-     * that phase's load. A mixed-pool machine retains its identity
+     * pickFrom() among the machines taking @p phase work in @p pool,
+     * by that phase's load. A mixed-pool machine retains its identity
      * (SIV-A): a prompt machine running tokens still takes prompts.
      */
     engine::Machine* pickIn(PoolType pool, PoolType phase) const;
+
+    /** pickFrom() among all routed machines by pending tokens. */
+    engine::Machine* pickBaseline() const;
 
     void moveToPool(int machine_id, PoolType pool);
 
@@ -309,8 +346,9 @@ class ClusterScheduler {
     mutable sim::Rng routingRng_{1};
     /** Every machine, indexed by id. */
     std::vector<Entry> entries_;
-    /** Machines in State::kRouted and in State::kStandby. */
-    std::size_t routed_ = 0;
+    /** Routed machine ids per List, ascending. */
+    std::array<std::vector<int>, kListCount> lists_;
+    /** Machines in State::kStandby. */
     std::size_t standby_ = 0;
     /** KV token capacity of the largest machine. */
     std::int64_t maxKvTokens_ = 0;

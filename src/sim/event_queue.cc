@@ -49,7 +49,6 @@ EventQueue::post(TimeUs time, EventAction action, int priority)
 
     heap_.push_back(slot);
     siftUp(static_cast<std::uint32_t>(heap_.size()) - 1);
-    ++scheduled_;
 }
 
 TimeUs

@@ -78,9 +78,6 @@ class EventQueue {
      */
     Event pop();
 
-    /** Total events ever scheduled (statistics/debugging). */
-    std::uint64_t scheduledCount() const { return scheduled_; }
-
     /** Allocation-behaviour counters for the steady-state tests. */
     struct MemoryStats {
         /** Pool slots ever created (high-water mark of pending). */
@@ -145,7 +142,6 @@ class EventQueue {
     /** Recycled slots (LIFO keeps the hot slots cache-warm). */
     std::vector<std::uint32_t> free_;
     std::uint64_t nextSeq_ = 0;
-    std::uint64_t scheduled_ = 0;
     std::uint64_t poolGrowths_ = 0;
 };
 

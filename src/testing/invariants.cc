@@ -1,5 +1,6 @@
 #include "testing/invariants.h"
 
+#include <array>
 #include <string>
 
 #include "telemetry/telemetry.h"
@@ -299,6 +300,8 @@ InvariantChecker::checkMachines()
     const auto& machines = cluster_.machines();
     const auto& cls = cluster_.scheduler();
     std::size_t alive = 0;
+    // Routed machines per pool, indexed like core::PoolType.
+    std::array<std::size_t, 3> pooled{};
 
     for (std::size_t i = 0; i < machines.size(); ++i) {
         const engine::Machine& m = *machines[i];
@@ -320,8 +323,10 @@ InvariantChecker::checkMachines()
                         std::to_string(states) +
                         " of {routed, standby, failed}");
         }
-        if (cls.contains(m.id()))
+        if (cls.contains(m.id())) {
             ++alive;
+            ++pooled[static_cast<std::size_t>(cls.poolOf(m.id()))];
+        }
 
         if (m.failed()) {
             // A failed machine dropped all of its state.
@@ -433,13 +438,19 @@ InvariantChecker::checkMachines()
                     " live machines, cluster routes " +
                     std::to_string(alive));
     }
-    const std::size_t pooled = cls.poolSize(core::PoolType::kPrompt) +
-                               cls.poolSize(core::PoolType::kToken) +
-                               cls.poolSize(core::PoolType::kMixed);
-    if (pooled != alive) {
-        violate("machine-pool",
-                "pool sizes sum to " + std::to_string(pooled) + " but " +
-                    std::to_string(alive) + " machines are routed");
+    // poolSize() reads the scheduler's member lists; a list that
+    // drifted from the per-machine pool state shows up here.
+    for (const core::PoolType pool :
+         {core::PoolType::kPrompt, core::PoolType::kToken,
+          core::PoolType::kMixed}) {
+        const std::size_t routed = pooled[static_cast<std::size_t>(pool)];
+        if (cls.poolSize(pool) != routed) {
+            violate("machine-pool",
+                    std::string(core::poolTypeName(pool)) + " pool lists " +
+                        std::to_string(cls.poolSize(pool)) +
+                        " machines but " + std::to_string(routed) +
+                        " routed machines sit in it");
+        }
     }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <stdexcept>
 #include <utility>
 #include <vector>
@@ -13,6 +15,31 @@
 #include "workload/workloads.h"
 
 namespace splitwise::core {
+
+/** Reaches the scheduler's private routing picks. */
+class ClusterSchedulerPeer {
+  public:
+    static engine::Machine*
+    pickIn(ClusterScheduler& cls, PoolType pool, PoolType phase)
+    {
+        return cls.pickIn(pool, phase);
+    }
+
+    static engine::Machine*
+    pickBaseline(ClusterScheduler& cls)
+    {
+        return cls.pickBaseline();
+    }
+
+    static bool
+    tokenOverloaded(const ClusterScheduler& cls, const engine::Machine& m)
+    {
+        return cls.tokenOverloaded(m);
+    }
+
+    static sim::Rng& rng(ClusterScheduler& cls) { return cls.routingRng_; }
+};
+
 namespace {
 
 /**
@@ -332,6 +359,242 @@ TEST(ClsTest, BaselineRoutesWholeRequestsByLoad)
     EXPECT_EQ(report.requests.completed(), 12u);
     for (const auto& m : cluster.machines())
         EXPECT_GT(m->stats().tokensGenerated, 0);
+}
+
+/** One machine as the scheduler's public accessors report it. */
+struct RefEntry {
+    engine::Machine* machine;
+    bool routed;
+    PoolType pool;
+    PoolType origin;
+};
+
+/**
+ * Brute-force reference router: the whole-fleet id-order scan the
+ * member lists replace. Under JSQ, the least-loaded machine passing
+ * @p ok (strict <, so ties go to the lowest id); under random
+ * routing, count the eligible machines, make one draw, walk to it.
+ */
+engine::Machine*
+referencePick(const std::vector<RefEntry>& fleet, RoutingPolicy routing,
+              sim::Rng& rng, const std::function<bool(const RefEntry&)>& ok,
+              const std::function<std::int64_t(const engine::Machine&)>& load)
+{
+    if (routing == RoutingPolicy::kJsq) {
+        engine::Machine* best = nullptr;
+        std::int64_t best_load = std::numeric_limits<std::int64_t>::max();
+        for (const RefEntry& e : fleet) {
+            if (!e.routed || !ok(e))
+                continue;
+            if (load(*e.machine) < best_load) {
+                best_load = load(*e.machine);
+                best = e.machine;
+            }
+        }
+        return best;
+    }
+    std::int64_t eligible = 0;
+    for (const RefEntry& e : fleet)
+        eligible += e.routed && ok(e);
+    if (eligible == 0)
+        return nullptr;
+    std::int64_t k = rng.uniformInt(0, eligible - 1);
+    for (const RefEntry& e : fleet) {
+        if (e.routed && ok(e) && k-- == 0)
+            return e.machine;
+    }
+    return nullptr;
+}
+
+/** Checks every route of @p cluster's scheduler against the
+ *  reference; returns the number of failed comparisons. */
+int
+checkRoutesAgainstReference(Cluster& cluster)
+{
+    ClusterScheduler& cls = cluster.scheduler();
+    const RoutingPolicy routing = cluster.config().cls.routing;
+    std::vector<RefEntry> fleet;
+    for (const auto& m : cluster.machines()) {
+        fleet.push_back({m.get(), cls.contains(m->id()), cls.poolOf(m->id()),
+                         cls.originOf(m->id())});
+    }
+    int failures = 0;
+    auto expect_same = [&](engine::Machine* got, engine::Machine* want,
+                           const char* what) {
+        if (got != want) {
+            ++failures;
+            ADD_FAILURE() << what << ": got machine "
+                          << (got ? got->id() : -1) << ", reference "
+                          << (want ? want->id() : -1);
+        }
+    };
+
+    for (const PoolType pool :
+         {PoolType::kPrompt, PoolType::kToken, PoolType::kMixed}) {
+        std::size_t count = 0;
+        for (const RefEntry& e : fleet)
+            count += e.routed && e.pool == pool;
+        if (cls.poolSize(pool) != count) {
+            ++failures;
+            ADD_FAILURE() << poolTypeName(pool) << " pool size "
+                          << cls.poolSize(pool) << ", reference " << count;
+        }
+    }
+
+    // Both sides draw from the scheduler's stream as it stands, so
+    // the same number of draws leaves the two streams equal.
+    sim::Rng reference = ClusterSchedulerPeer::rng(cls);
+    const std::pair<PoolType, PoolType> routes[] = {
+        {PoolType::kPrompt, PoolType::kPrompt},
+        {PoolType::kMixed, PoolType::kPrompt},
+        {PoolType::kToken, PoolType::kPrompt},
+        {PoolType::kToken, PoolType::kToken},
+        {PoolType::kMixed, PoolType::kToken},
+        {PoolType::kPrompt, PoolType::kToken},
+    };
+    for (const auto& [pool, phase] : routes) {
+        const bool prompt = phase == PoolType::kPrompt;
+        engine::Machine* want = referencePick(
+            fleet, routing, reference,
+            [pool, phase](const RefEntry& e) {
+                return e.pool == pool ||
+                       (pool == phase && e.pool == PoolType::kMixed &&
+                        e.origin == phase);
+            },
+            [prompt](const engine::Machine& m) {
+                return prompt ? m.promptQueueDepthTokens()
+                              : m.tokenLoadTokens();
+            });
+        expect_same(ClusterSchedulerPeer::pickIn(cls, pool, phase), want,
+                    prompt ? "prompt-phase pickIn" : "token-phase pickIn");
+    }
+    expect_same(ClusterSchedulerPeer::pickBaseline(cls),
+                referencePick(
+                    fleet, routing, reference,
+                    [](const RefEntry&) { return true; },
+                    [](const engine::Machine& m) {
+                        return m.promptQueueDepthTokens() +
+                               static_cast<std::int64_t>(
+                                   m.mls().residentCount());
+                    }),
+                "baseline route");
+    expect_same(
+        cls.pickRecoveryTokenMachine(),
+        referencePick(
+            fleet, RoutingPolicy::kJsq, reference,
+            [&cls](const RefEntry& e) {
+                return (e.pool == PoolType::kToken ||
+                        e.pool == PoolType::kMixed) &&
+                       !e.machine->failed() &&
+                       !ClusterSchedulerPeer::tokenOverloaded(cls,
+                                                              *e.machine);
+            },
+            [](const engine::Machine& m) { return m.tokenLoadTokens(); }),
+        "recovery token machine");
+    if (reference.uniformInt(0, 1 << 30) !=
+        ClusterSchedulerPeer::rng(cls).uniformInt(0, 1 << 30)) {
+        ++failures;
+        ADD_FAILURE() << "scheduler and reference drew different counts";
+    }
+    return failures;
+}
+
+TEST(ClsTest, MemberListsMatchWholeFleetScan)
+{
+    // A loaded run with overflow into the mixed pool, re-purposing
+    // and two real crash/recover cycles. Between events a seeded
+    // driver fails, rejoins, retires, restores and flexes machines,
+    // then every route is compared with the whole-fleet scan.
+    sim::Rng arrivals(11);
+    workload::Trace trace;
+    sim::TimeUs at = 0;
+    for (std::uint64_t i = 0; i < 300; ++i) {
+        at += sim::msToUs(arrivals.exponential(1.0 / 15.0));
+        trace.push_back({i, at, arrivals.uniformInt(200, 4000),
+                         arrivals.uniformInt(5, 60)});
+    }
+    for (const bool splitwise : {true, false}) {
+        for (const RoutingPolicy routing :
+             {RoutingPolicy::kJsq, RoutingPolicy::kRandom}) {
+            SCOPED_TRACE(std::string(splitwise ? "splitwise" : "baseline") +
+                         (routing == RoutingPolicy::kJsq ? " jsq"
+                                                         : " random"));
+            SimConfig config;
+            config.cls.routing = routing;
+            config.cls.routingSeed = 5;
+            config.cls.promptOverflowTokens = 2500;
+            config.cls.repurposeAfterUs = sim::msToUs(50);
+            Cluster cluster(model::llama2_70b(),
+                            splitwise ? splitwiseHH(4, 4) : baselineH100(8),
+                            config);
+            // Machines 0 and 7 crash for real; the driver leaves them
+            // alone so their failure path stays the cluster's own.
+            cluster.scheduleFailure(0, sim::msToUs(400),
+                                    /*downtime_us=*/sim::msToUs(700));
+            cluster.scheduleFailure(7, sim::msToUs(900),
+                                    /*downtime_us=*/sim::msToUs(500));
+            ClusterScheduler& cls = cluster.scheduler();
+            sim::Rng driver(23);
+            std::vector<int> lost;
+            std::uint64_t ops = 0;
+            std::uint64_t checks = 0;
+            int failures = 0;
+            cluster.simulator().addTimeAdvanceHook([&](sim::TimeUs) {
+                if (failures > 0)
+                    return;
+                ++checks;
+                const int id = static_cast<int>(driver.uniformInt(1, 6));
+                switch (driver.uniformInt(0, 7)) {
+                  case 0:
+                    if (cls.contains(id) && cls.liveMachines() > 3) {
+                        cls.markFailed(id);
+                        lost.push_back(id);
+                        ++ops;
+                    }
+                    break;
+                  case 1:
+                    if (!lost.empty()) {
+                        cls.rejoin(lost.back());
+                        lost.pop_back();
+                        ++ops;
+                    }
+                    break;
+                  case 2:
+                    if (cls.contains(id) && cls.liveMachines() > 3) {
+                        cls.retire(id);
+                        ++ops;
+                    }
+                    break;
+                  case 3:
+                    if (cls.inStandby(id)) {
+                        cls.restore(id);
+                        ++ops;
+                    }
+                    break;
+                  case 4:
+                    if (cls.inStandby(id)) {
+                        cls.restore(id, static_cast<PoolType>(
+                                            driver.uniformInt(0, 2)));
+                        ++ops;
+                    }
+                    break;
+                  default:
+                    break;
+                }
+                failures += checkRoutesAgainstReference(cluster);
+            });
+            const RunReport report = cluster.run(trace);
+            EXPECT_EQ(failures, 0);
+            EXPECT_EQ(report.requests.completed() + report.rejected, 300u);
+            EXPECT_GT(cls.rejoins(), 2u);
+            EXPECT_GT(ops, 100u);
+            EXPECT_GT(checks, 1000u);
+            if (splitwise) {
+                EXPECT_GT(report.mixedRoutes, 0u);
+                EXPECT_GT(cls.repurposings(), 0u);
+            }
+        }
+    }
 }
 
 }  // namespace

@@ -224,18 +224,6 @@ TEST(EventQueueTest, SteadyStateLoopPerformsZeroHeapAllocations)
     EXPECT_EQ(q.memoryStats().poolGrowths, 0u);
 }
 
-TEST(EventQueueTest, ScheduledCountAccumulates)
-{
-    EventQueue q;
-    q.post(1, [] {});
-    q.post(2, [] {});
-    (void)q.pop();
-    q.post(3, [] {});
-    EXPECT_EQ(q.scheduledCount(), 3u);
-    drain(q);
-    EXPECT_EQ(q.scheduledCount(), 3u);
-}
-
 TEST(EventQueueDeathTest, EmptyActionPanics)
 {
     EventQueue q;

@@ -32,7 +32,10 @@
 # shape, and emits BENCH_PR8.json — the committed numbers CI's
 # scale-smoke step gates against. The streamed 10^6 x 2000 run is
 # budget-enforced (--budget-mb) so the O(in-flight) memory contract
-# fails loudly here, not just in DST.
+# fails loudly here, not just in DST. The 10^4-machine shapes price
+# per-arrival routing cost as the fleet grows; their
+# large_throughput_ratio (2x10^5 x 10^4 over the short shape, both
+# streamed) is the fleet-scaling figure scale-smoke gates on.
 set -euo pipefail
 
 SUBCOMMAND=""
@@ -98,7 +101,8 @@ if [[ "$SUBCOMMAND" == "scale" ]]; then
     }
 
     echo "perf_baseline scale: $RUNS runs per shape" >&2
-    STREAMED_SHAPES="100000:100 1000000:100 100000:2000 1000000:2000"
+    STREAMED_SHAPES="100000:100 1000000:100 100000:2000 1000000:2000
+                     200000:10000 1000000:10000"
     for i in $(seq 1 "$RUNS"); do
         # The CI smoke shape, both modes: the smoke gate compares the
         # streamed/materialized throughput ratio (host-independent)
@@ -128,6 +132,8 @@ if [[ "$SUBCOMMAND" == "scale" ]]; then
         "print(f'{$materialized_rss / $streamed_rss:.2f}')")"
     short_ratio="$(python3 -c \
         "print(f'{$(median "$tmp/short.rps") / $(median "$tmp/short_mat.rps"):.3f}')")"
+    large_ratio="$(python3 -c \
+        "print(f'{$(median "$tmp/s_200000_10000.rps") / $(median "$tmp/short.rps"):.3f}')")"
 
     {
         printf '{\n'
@@ -138,6 +144,7 @@ if [[ "$SUBCOMMAND" == "scale" ]]; then
         printf '  "short_materialized": %s,\n' \
             "$(shape_json short_mat materialized 50000 100)"
         printf '  "short_throughput_ratio": %s,\n' "$short_ratio"
+        printf '  "large_throughput_ratio": %s,\n' "$large_ratio"
         printf '  "streamed": {\n'
         sep=""
         for shape in $STREAMED_SHAPES; do
@@ -236,7 +243,8 @@ import resource, subprocess, sys, time
 bin, spans = sys.argv[1], sys.argv[2]
 t0 = time.monotonic()
 subprocess.run([bin, "--jobs", "1", "--spans", spans] + sys.argv[3:],
-               stdout=subprocess.DEVNULL, check=True)
+               stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+               check=True)
 wall = time.monotonic() - t0
 rss = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
 print(f"{wall:.6f}")
@@ -264,7 +272,7 @@ done
 # --- bench_fig12 --jobs 1: end-to-end sweep wall-clock ---------------
 for i in $(seq 1 "$RUNS"); do
     t0="$(now_s)"
-    "$BENCH/bench_fig12_design_space" --jobs 1 > /dev/null
+    "$BENCH/bench_fig12_design_space" --jobs 1 > /dev/null 2>&1
     t1="$(now_s)"
     python3 -c "print(f'{$t1 - $t0:.6f}')" >> "$tmp/fig12_wall.txt"
     echo "  bench_fig12 run $i done" >&2

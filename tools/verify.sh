@@ -44,11 +44,12 @@ step "determinism gate: fig12 sweep --jobs 1 vs --jobs 8"
 tmpdir="$(mktemp -d)"
 trap 'rm -rf "$tmpdir"' EXIT
 build/bench/bench_fig12_design_space --jobs 1 \
-    --report-out="$tmpdir/fig12-jobs1.json" >/dev/null
+    --report-out="$tmpdir/fig12-jobs1.json" >"$tmpdir/fig12-jobs1.log"
 build/bench/bench_fig12_design_space --jobs 8 \
-    --report-out="$tmpdir/fig12-jobs8.json" >/dev/null
+    --report-out="$tmpdir/fig12-jobs8.json" >"$tmpdir/fig12-jobs8.log"
 cmp "$tmpdir/fig12-jobs1.json" "$tmpdir/fig12-jobs8.json"
-echo "per-cell reports byte-identical across job counts"
+cmp "$tmpdir/fig12-jobs1.log" "$tmpdir/fig12-jobs8.log"
+echo "per-cell reports and stdout byte-identical across job counts"
 
 step "autoscale gate: acceptance checks + --jobs 1 vs --jobs 8"
 build/bench/bench_autoscale --short --jobs 1 \
