@@ -82,15 +82,14 @@ void
 BM_BlockManagerChurn(benchmark::State& state)
 {
     engine::BlockManager bm(1 << 20, 16);
-    std::uint64_t id = 0;
+    std::vector<engine::LiveRequest> requests(32);
     for (auto _ : state) {
         for (int i = 0; i < 32; ++i)
-            bm.allocate(id + i, 1000 + i);
+            benchmark::DoNotOptimize(bm.allocate(requests[i], 1000 + i));
         for (int i = 0; i < 32; ++i)
-            bm.extend(id + i, 1100 + i);
+            benchmark::DoNotOptimize(bm.extend(requests[i], 1100 + i));
         for (int i = 0; i < 32; ++i)
-            bm.release(id + i);
-        id += 32;
+            bm.release(requests[i]);
     }
     state.SetItemsProcessed(state.iterations() * 96);
 }

@@ -60,118 +60,126 @@ BlockManager::reclaimFor(std::int64_t need_blocks)
     return true;
 }
 
+KvHold*
+BlockManager::find(LiveRequest& request) const
+{
+    for (KvHold& hold : request.kv) {
+        if (live(hold))
+            return &hold;
+    }
+    return nullptr;
+}
+
+const KvHold*
+BlockManager::holdOf(const LiveRequest& request) const
+{
+    return find(const_cast<LiveRequest&>(request));
+}
+
+KvHold&
+BlockManager::claim(LiveRequest& request) const
+{
+    for (KvHold& hold : request.kv) {
+        if (hold.owner == nullptr || !hold.owner->live(hold)) {
+            hold = KvHold{};
+            hold.owner = this;
+            hold.generation = generation_;
+            return hold;
+        }
+    }
+    sim::panic("BlockManager: request " + std::to_string(request.spec.id) +
+               " would hold KV on a third machine");
+}
+
 bool
-BlockManager::allocate(std::uint64_t request_id, std::int64_t tokens)
+BlockManager::allocate(LiveRequest& request, std::int64_t tokens)
 {
     if (tokens < 0)
         sim::panic("BlockManager::allocate with negative tokens");
-    if (table_.count(request_id) > 0)
+    KvHold* hold = find(request);
+    if (hold != nullptr && hold->allocated)
         return false;
-    const std::int64_t effective =
-        std::max<std::int64_t>(0, tokens - prefixTokensHeldBy(request_id));
+    const std::int64_t pinned = hold != nullptr ? hold->prefixTokens : 0;
+    const std::int64_t effective = std::max<std::int64_t>(0, tokens - pinned);
     const std::int64_t need = blocksFor(effective);
     if (need > freeBlocks() && !reclaimFor(need))
         return false;
-    table_[request_id] = {effective, need};
+    if (hold == nullptr)
+        hold = &claim(request);
+    hold->allocated = true;
+    hold->tokens = effective;
+    hold->blocks = need;
     usedBlocks_ += need;
     usedTokens_ += effective;
+    ++allocations_;
     return true;
 }
 
 bool
-BlockManager::canExtend(std::uint64_t request_id,
-                        std::int64_t new_total_tokens) const
+BlockManager::extend(LiveRequest& request, std::int64_t new_total_tokens)
 {
-    const auto it = table_.find(request_id);
-    if (it == table_.end())
+    KvHold* hold = find(request);
+    if (hold == nullptr || !hold->allocated)
         return false;
     const std::int64_t effective = std::max<std::int64_t>(
-        0, new_total_tokens - prefixTokensHeldBy(request_id));
-    const std::int64_t need = blocksFor(effective) - it->second.blocks;
-    return need <= freeBlocks() + reclaimableBlocks_;
-}
-
-bool
-BlockManager::extend(std::uint64_t request_id, std::int64_t new_total_tokens)
-{
-    const auto it = table_.find(request_id);
-    if (it == table_.end())
-        return false;
-    const std::int64_t effective = std::max<std::int64_t>(
-        0, new_total_tokens - prefixTokensHeldBy(request_id));
-    if (effective <= it->second.tokens) {
+        0, new_total_tokens - hold->prefixTokens);
+    if (effective <= hold->tokens) {
         // Contexts only grow; a no-op extension is still a success.
         return true;
     }
-    const std::int64_t need = blocksFor(effective) - it->second.blocks;
+    const std::int64_t need = blocksFor(effective) - hold->blocks;
     if (need > freeBlocks() && !reclaimFor(need))
         return false;
-    usedTokens_ += effective - it->second.tokens;
-    it->second.tokens = effective;
-    it->second.blocks += need;
+    usedTokens_ += effective - hold->tokens;
+    hold->tokens = effective;
+    hold->blocks += need;
     usedBlocks_ += need;
     return true;
 }
 
 void
-BlockManager::release(std::uint64_t request_id)
+BlockManager::release(LiveRequest& request)
 {
-    const auto it = table_.find(request_id);
-    if (it != table_.end()) {
-        usedBlocks_ -= it->second.blocks;
-        usedTokens_ -= it->second.tokens;
-        table_.erase(it);
+    KvHold* hold = find(request);
+    if (hold == nullptr)
+        return;
+    if (hold->allocated) {
+        usedBlocks_ -= hold->blocks;
+        usedTokens_ -= hold->tokens;
+        --allocations_;
     }
-    const auto pin = pins_.find(request_id);
-    if (pin != pins_.end()) {
-        const auto entry = prefixes_.find(pin->second.key);
+    if (hold->prefixTokens > 0) {
+        const auto entry = prefixes_.find(hold->prefixKey);
         if (entry == prefixes_.end())
             sim::panic("BlockManager::release: pin on evicted prefix");
         if (--entry->second.refcount == 0) {
             reclaimableBlocks_ += entry->second.blocks;
             reclaimableTokens_ += entry->second.tokens;
         }
-        pins_.erase(pin);
     }
+    *hold = KvHold{};
 }
 
 bool
-BlockManager::holds(std::uint64_t request_id) const
+BlockManager::holds(const LiveRequest& request) const
 {
-    return table_.count(request_id) > 0;
-}
-
-std::int64_t
-BlockManager::tokensOf(std::uint64_t request_id) const
-{
-    const auto it = table_.find(request_id);
-    return it == table_.end() ? 0 : it->second.tokens;
-}
-
-std::vector<std::uint64_t>
-BlockManager::heldRequestIds() const
-{
-    std::vector<std::uint64_t> ids;
-    ids.reserve(table_.size());
-    for (const auto& [id, alloc] : table_)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    return ids;
+    const KvHold* hold = holdOf(request);
+    return hold != nullptr && hold->allocated;
 }
 
 void
 BlockManager::reset()
 {
-    table_.clear();
     prefixes_.clear();
-    pins_.clear();
     usedBlocks_ = 0;
     usedTokens_ = 0;
     sharedBlocks_ = 0;
     sharedTokens_ = 0;
     reclaimableBlocks_ = 0;
     reclaimableTokens_ = 0;
+    allocations_ = 0;
     useTick_ = 0;
+    ++generation_;
 }
 
 std::int64_t
@@ -245,10 +253,11 @@ BlockManager::storePrefix(std::uint64_t key, std::int64_t tokens)
 }
 
 bool
-BlockManager::acquirePrefix(std::uint64_t key, std::uint64_t request_id)
+BlockManager::acquirePrefix(std::uint64_t key, LiveRequest& request)
 {
     const auto it = prefixes_.find(key);
-    if (it == prefixes_.end() || pins_.count(request_id) > 0) {
+    KvHold* hold = find(request);
+    if (it == prefixes_.end() || (hold != nullptr && hold->prefixTokens > 0)) {
         ++stats_.misses;
         return false;
     }
@@ -258,18 +267,14 @@ BlockManager::acquirePrefix(std::uint64_t key, std::uint64_t request_id)
         reclaimableTokens_ -= entry.tokens;
     }
     ++entry.refcount;
-    pins_[request_id] = {key, entry.tokens};
+    if (hold == nullptr)
+        hold = &claim(request);
+    hold->prefixKey = key;
+    hold->prefixTokens = entry.tokens;
     touch(entry);
     ++stats_.hits;
     stats_.hitTokens += entry.tokens;
     return true;
-}
-
-std::int64_t
-BlockManager::prefixTokensHeldBy(std::uint64_t request_id) const
-{
-    const auto it = pins_.find(request_id);
-    return it == pins_.end() ? 0 : it->second.tokens;
 }
 
 std::int64_t
@@ -279,53 +284,48 @@ BlockManager::prefixRefcount(std::uint64_t key) const
     return it == prefixes_.end() ? -1 : it->second.refcount;
 }
 
-std::vector<PrefixReference>
-BlockManager::prefixReferences() const
-{
-    std::vector<PrefixReference> refs;
-    refs.reserve(pins_.size());
-    for (const auto& [id, pin] : pins_)
-        refs.push_back({id, pin.key, pin.tokens});
-    std::sort(refs.begin(), refs.end(),
-              [](const PrefixReference& a, const PrefixReference& b) {
-                  return a.requestId < b.requestId;
-              });
-    return refs;
-}
-
 std::string
-BlockManager::audit() const
+BlockManager::audit(const std::vector<const LiveRequest*>& holders) const
 {
+    std::size_t allocations = 0;
     std::int64_t blocks = 0;
     std::int64_t tokens = 0;
-    for (const auto& [id, alloc] : table_) {
-        if (alloc.tokens < 0 || alloc.blocks < 0) {
-            return "allocation for request " + std::to_string(id) +
-                   " has negative size";
-        }
-        if (alloc.blocks != blocksFor(alloc.tokens)) {
-            return "allocation for request " + std::to_string(id) + " holds " +
-                   std::to_string(alloc.blocks) + " blocks for " +
-                   std::to_string(alloc.tokens) + " tokens (expected " +
-                   std::to_string(blocksFor(alloc.tokens)) + ")";
-        }
-        blocks += alloc.blocks;
-        tokens += alloc.tokens;
-    }
     std::unordered_map<std::uint64_t, std::int64_t> pin_counts;
-    for (const auto& [id, pin] : pins_) {
-        const auto entry = prefixes_.find(pin.key);
-        if (entry == prefixes_.end()) {
-            return "request " + std::to_string(id) +
-                   " pins evicted prefix " + std::to_string(pin.key);
+    for (const LiveRequest* request : holders) {
+        const KvHold* hold = holdOf(*request);
+        if (hold == nullptr)
+            continue;
+        const auto who = [&] {
+            return "request " + std::to_string(request->spec.id);
+        };
+        if (hold->allocated) {
+            if (hold->tokens < 0 || hold->blocks != blocksFor(hold->tokens)) {
+                return who() + " holds " + std::to_string(hold->blocks) +
+                       " blocks for " + std::to_string(hold->tokens) +
+                       " tokens (expected " +
+                       std::to_string(blocksFor(hold->tokens)) + ")";
+            }
+            ++allocations;
+            blocks += hold->blocks;
+            tokens += hold->tokens;
         }
-        if (pin.tokens <= 0 || pin.tokens > entry->second.tokens) {
-            return "request " + std::to_string(id) + " pins " +
-                   std::to_string(pin.tokens) + " tokens of prefix " +
-                   std::to_string(pin.key) + " holding " +
-                   std::to_string(entry->second.tokens);
+        if (hold->prefixTokens > 0) {
+            const auto entry = prefixes_.find(hold->prefixKey);
+            if (entry == prefixes_.end()) {
+                return who() + " pins evicted prefix " +
+                       std::to_string(hold->prefixKey);
+            }
+            if (hold->prefixTokens > entry->second.tokens) {
+                return who() + " pins " + std::to_string(hold->prefixTokens) +
+                       " tokens of prefix " + std::to_string(hold->prefixKey) +
+                       " holding " + std::to_string(entry->second.tokens);
+            }
+            ++pin_counts[hold->prefixKey];
         }
-        ++pin_counts[pin.key];
+    }
+    if (allocations != allocations_) {
+        return "allocation count " + std::to_string(allocations_) + " != " +
+               std::to_string(allocations) + " live holds";
     }
     std::int64_t shared_blocks = 0;
     std::int64_t shared_tokens = 0;
@@ -343,7 +343,7 @@ BlockManager::audit() const
         if (entry.refcount != pinned) {
             return "prefix " + std::to_string(key) + " refcount " +
                    std::to_string(entry.refcount) + " != " +
-                   std::to_string(pinned) + " per-request references";
+                   std::to_string(pinned) + " live pins";
         }
         shared_blocks += entry.blocks;
         shared_tokens += entry.tokens;
@@ -368,11 +368,11 @@ BlockManager::audit() const
     }
     if (blocks + shared_blocks != usedBlocks_) {
         return "used-block aggregate " + std::to_string(usedBlocks_) +
-               " != table sum " + std::to_string(blocks + shared_blocks);
+               " != hold sum " + std::to_string(blocks + shared_blocks);
     }
     if (tokens + shared_tokens != usedTokens_) {
         return "used-token aggregate " + std::to_string(usedTokens_) +
-               " != table sum " + std::to_string(tokens + shared_tokens);
+               " != hold sum " + std::to_string(tokens + shared_tokens);
     }
     if (usedBlocks_ < 0 || usedBlocks_ > totalBlocks_) {
         return "used blocks " + std::to_string(usedBlocks_) +
@@ -387,15 +387,6 @@ BlockManager::utilization() const
     if (totalBlocks_ == 0)
         return 0.0;
     return static_cast<double>(usedBlocks_) / static_cast<double>(totalBlocks_);
-}
-
-double
-BlockManager::committedUtilization() const
-{
-    if (totalBlocks_ == 0)
-        return 0.0;
-    return static_cast<double>(usedBlocks_ - reclaimableBlocks_) /
-           static_cast<double>(totalBlocks_);
 }
 
 }  // namespace splitwise::engine

@@ -6,6 +6,8 @@
 #include <unordered_map>
 #include <vector>
 
+#include "engine/request.h"
+
 namespace splitwise::engine {
 
 /** Hit/miss/evict accounting for the shared-prefix tier. Survives
@@ -25,22 +27,16 @@ struct PrefixCacheStats {
     std::int64_t hitTokens = 0;
 };
 
-/** One request's pin on a shared prefix (for the DST checker). */
-struct PrefixReference {
-    std::uint64_t requestId = 0;
-    std::uint64_t key = 0;
-    /** The prefix size when acquired; the entry may grow later. */
-    std::int64_t tokens = 0;
-};
-
 /**
  * Paged KV-cache allocator, in the style of vLLM's block manager.
  *
  * GPU memory for the KV cache is carved into fixed-size blocks of
- * @c blockSize tokens. Each request owns a block table that grows as
- * its context grows during decoding. Paging eliminates external
+ * @c blockSize tokens. Each request's block table grows as its
+ * context grows during decoding. Paging eliminates external
  * fragmentation; internal fragmentation is at most one block per
- * request, which utilization() accounts for.
+ * request, which utilization() accounts for. The tables themselves
+ * live in the requests' rows (LiveRequest::kv); the manager keeps
+ * only the machine-wide aggregates.
  *
  * On top of the per-request tables sits a shared-prefix tier for
  * session KV reuse: ref-counted prefix entries keyed by session,
@@ -58,6 +54,10 @@ class BlockManager {
      * @param block_size_tokens Tokens per block (vLLM default 16).
      */
     BlockManager(std::int64_t capacity_tokens, int block_size_tokens = 16);
+
+    /** Holds record the manager's address, so it never moves. */
+    BlockManager(const BlockManager&) = delete;
+    BlockManager& operator=(const BlockManager&) = delete;
 
     /** Total blocks in the pool. */
     std::int64_t totalBlocks() const { return totalBlocks_; }
@@ -87,40 +87,46 @@ class BlockManager {
     bool canAllocate(std::int64_t tokens) const;
 
     /**
-     * Allocate the block table for a new request holding @p tokens
-     * of context. A pinned shared prefix (acquirePrefix) is deducted
+     * Allocate the block table for @p request holding @p tokens of
+     * context. A pinned shared prefix (acquirePrefix) is deducted
      * from @p tokens first; refcount-zero prefixes are evicted LRU as
-     * needed to make room.
+     * needed to make room. Panics when the request already holds KV
+     * on two other machines.
      *
      * @return false (and allocate nothing) when the pool is full or
-     *     the request already holds an allocation.
+     *     the request already holds an allocation here.
      */
-    bool allocate(std::uint64_t request_id, std::int64_t tokens);
+    bool allocate(LiveRequest& request, std::int64_t tokens);
 
     /**
      * Grow a request's context to @p new_total_tokens, allocating
      * blocks as needed (net of any pinned shared prefix, evicting
      * reclaimable prefixes as needed).
      *
-     * @return false (leaving the allocation untouched) when the pool
-     *     cannot cover the growth.
+     * @return false (leaving the allocation untouched) when the
+     *     request holds no allocation here or the pool cannot cover
+     *     the growth.
      */
-    bool extend(std::uint64_t request_id, std::int64_t new_total_tokens);
-
-    /** Check whether extend() to @p new_total_tokens would succeed. */
-    bool canExtend(std::uint64_t request_id,
-                   std::int64_t new_total_tokens) const;
+    bool extend(LiveRequest& request, std::int64_t new_total_tokens);
 
     /** Release a request's blocks and drop its shared-prefix pin (if
-     *  any); no-op for unknown ids. */
-    void release(std::uint64_t request_id);
+     *  any); no-op when it holds nothing here. */
+    void release(LiveRequest& request);
 
-    /** True when the request holds an allocation. */
-    bool holds(std::uint64_t request_id) const;
+    /** True when the request holds an allocation here. */
+    bool holds(const LiveRequest& request) const;
 
-    /** Tokens recorded for the request's own allocation, net of any
-     *  pinned shared prefix (0 if absent). */
-    std::int64_t tokensOf(std::uint64_t request_id) const;
+    /** The request's live hold here (allocation and/or pin), or
+     *  nullptr. */
+    const KvHold* holdOf(const LiveRequest& request) const;
+
+    /** True when @p hold is a live hold on this machine: taken here
+     *  and not voided by a reset() since. */
+    bool
+    live(const KvHold& hold) const
+    {
+        return hold.owner == this && hold.generation == generation_;
+    }
 
     /** Total context tokens currently stored (pre-rounding),
      *  including the shared-prefix tier. */
@@ -138,20 +144,15 @@ class BlockManager {
     /** Fraction of blocks in use (including the shared tier). */
     double utilization() const;
 
-    /** Fraction of blocks in use that cannot be reclaimed by
-     *  evicting refcount-zero prefixes. */
-    double committedUtilization() const;
-
     /** Number of requests holding allocations. */
-    std::size_t residents() const { return table_.size(); }
-
-    /** Ids of every request holding an allocation (sorted). */
-    std::vector<std::uint64_t> heldRequestIds() const;
+    std::size_t residents() const { return allocations_; }
 
     /**
      * Drop every allocation, prefix entry, and prefix pin, returning
-     * the pool to empty. Stats survive: a machine crash wipes its KV
-     * (and its cached prefixes) but not its lifetime counters.
+     * the pool to empty. Bumping the generation voids every
+     * request's hold without visiting it. Stats survive: a machine
+     * crash wipes its KV (and its cached prefixes) but not its
+     * lifetime counters.
      */
     void reset();
 
@@ -173,55 +174,41 @@ class BlockManager {
     bool storePrefix(std::uint64_t key, std::int64_t tokens);
 
     /**
-     * Pin the prefix for @p key on behalf of @p request_id:
+     * Pin the prefix for @p key on behalf of @p request:
      * refcount+1, and the entry's current size is deducted from the
      * request's subsequent allocate()/extend() calls. Counted as a
      * hit; a pinned entry cannot be evicted.
      *
      * @return false (counted as a miss) when the key is not cached or
-     *     the request already pins a prefix.
+     *     the request already pins a prefix here.
      */
-    bool acquirePrefix(std::uint64_t key, std::uint64_t request_id);
-
-    /** The tokens pinned by @p request_id's prefix reference (0 if
-     *  none): the request's acquire-time prefix size. */
-    std::int64_t prefixTokensHeldBy(std::uint64_t request_id) const;
+    bool acquirePrefix(std::uint64_t key, LiveRequest& request);
 
     /** Number of cached prefix entries. */
     std::size_t sharedPrefixCount() const { return prefixes_.size(); }
 
-    /** Blocks held by the shared-prefix tier. */
-    std::int64_t sharedBlocks() const { return sharedBlocks_; }
-
     /** Refcount of @p key's entry; -1 when not cached. */
     std::int64_t prefixRefcount(std::uint64_t key) const;
-
-    /** Every live prefix pin, sorted by request id (DST checker). */
-    std::vector<PrefixReference> prefixReferences() const;
 
     /** Lifetime hit/miss/evict/store counters. */
     const PrefixCacheStats& prefixStats() const { return stats_; }
 
     /**
-     * Audit the allocator's internal accounting: per-allocation block
-     * counts match blocksFor(), the used-block/used-token aggregates
-     * equal the table sums (private tables plus the shared tier),
-     * per-entry refcounts equal the number of pins pointing at them,
-     * and usage stays within [0, capacity]. The DST invariant checker
-     * calls this at every quiescent point; a leak or double-release
-     * shows up as an aggregate mismatch.
+     * Audit the allocator's accounting against @p holders, every
+     * request that may hold KV here: each live hold's block count
+     * matches blocksFor(), the allocation count and the
+     * used-block/used-token aggregates equal the holds' sums plus
+     * the shared tier, each entry's refcount equals the live pins
+     * on it, and usage stays within [0, capacity]. The DST
+     * invariant checker calls this at every quiescent point; a leak
+     * or double-release shows up as an aggregate mismatch.
      *
      * @return Empty string when consistent, else a description of
      *     the first inconsistency found.
      */
-    std::string audit() const;
+    std::string audit(const std::vector<const LiveRequest*>& holders) const;
 
   private:
-    struct Allocation {
-        std::int64_t tokens = 0;
-        std::int64_t blocks = 0;
-    };
-
     struct SharedPrefix {
         std::int64_t tokens = 0;
         std::int64_t blocks = 0;
@@ -230,17 +217,16 @@ class BlockManager {
         std::uint64_t lastUse = 0;
     };
 
-    struct PrefixPin {
-        std::uint64_t key = 0;
-        std::int64_t tokens = 0;
-    };
+    /** The request's live hold here, or nullptr. */
+    KvHold* find(LiveRequest& request) const;
+
+    /** Take an unused (or voided) record of @p request for a new
+     *  hold here; panics when both records hold KV elsewhere. */
+    KvHold& claim(LiveRequest& request) const;
 
     /** Evict refcount-zero prefixes (LRU first, key as tie-break)
      *  until at least @p need_blocks are free. */
     bool reclaimFor(std::int64_t need_blocks);
-
-    /** Blocks reclaimable right now from refcount-zero prefixes. */
-    std::int64_t reclaimableBlocks() const { return reclaimableBlocks_; }
 
     void touch(SharedPrefix& entry) { entry.lastUse = ++useTick_; }
 
@@ -251,11 +237,12 @@ class BlockManager {
     std::int64_t sharedTokens_ = 0;
     std::int64_t reclaimableBlocks_ = 0;
     std::int64_t reclaimableTokens_ = 0;
+    std::size_t allocations_ = 0;
     int blockSize_ = 16;
+    /** Bumped by reset(); holds stamped with an older one are void. */
+    std::uint32_t generation_ = 0;
     std::uint64_t useTick_ = 0;
-    std::unordered_map<std::uint64_t, Allocation> table_;
     std::unordered_map<std::uint64_t, SharedPrefix> prefixes_;
-    std::unordered_map<std::uint64_t, PrefixPin> pins_;
     PrefixCacheStats stats_;
 };
 

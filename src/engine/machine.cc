@@ -61,8 +61,7 @@ Machine::submitPrompt(LiveRequest* request)
     // still exists: it may be evicted between routing and admission
     // otherwise. A failed pin degrades to a full prefill.
     if (request->cachedPrefixTokens > 0) {
-        if (mls_.blocks().acquirePrefix(request->spec.session,
-                                        request->spec.id)) {
+        if (mls_.blocks().acquirePrefix(request->spec.session, *request)) {
             request->promptProcessed = request->cachedPrefixTokens;
         } else {
             request->cachedPrefixTokens = 0;
@@ -85,13 +84,13 @@ Machine::reserveKv(LiveRequest* request, std::int64_t tokens)
 {
     if (failed_ || parked_)
         return false;
-    return mls_.blocks().allocate(request->spec.id, tokens);
+    return mls_.blocks().allocate(*request, tokens);
 }
 
 void
 Machine::releaseKv(LiveRequest* request)
 {
-    mls_.blocks().release(request->spec.id);
+    mls_.blocks().release(*request);
     if (callbacks_.onMemoryFreed)
         callbacks_.onMemoryFreed(*this);
     kick();
@@ -406,7 +405,7 @@ Machine::routePromptCompletion(LiveRequest* request,
             trace_->close(
                 telemetry::TraceRecorder::requestTrack(request->spec.id),
                 simulator_.now());
-        mls_.blocks().release(request->spec.id);
+        mls_.blocks().release(*request);
         if (callbacks_.onMemoryFreed)
             callbacks_.onMemoryFreed(*this);
         if (callbacks_.onRequestDone)

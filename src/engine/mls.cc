@@ -81,7 +81,7 @@ Mls::enqueuePrompt(LiveRequest* request)
 void
 Mls::addResident(LiveRequest* request)
 {
-    if (!blocks_.holds(request->spec.id)) {
+    if (!blocks_.holds(*request)) {
         sim::panic("Mls::addResident without a KV allocation: request " +
                    std::to_string(request->spec.id) + " phase " +
                    std::to_string(static_cast<int>(request->phase)) +
@@ -100,7 +100,7 @@ Mls::addResident(LiveRequest* request)
 void
 Mls::finish(LiveRequest* request)
 {
-    blocks_.release(request->spec.id);
+    blocks_.release(*request);
     const auto it =
         std::find(residents_.begin(), residents_.end(), request);
     if (it != residents_.end())
@@ -111,17 +111,13 @@ Mls::finish(LiveRequest* request)
 void
 Mls::clearAll()
 {
-    for (auto* r : promptQueue_)
-        blocks_.release(r->spec.id);
-    for (auto* r : residents_)
-        blocks_.release(r->spec.id);
     promptQueue_.clear();
     residents_.clear();
     requestLevelBatch_.clear();
-    // Allocations held by in-flight iterations or inbound-transfer
-    // reservations are swept too, along with every cached shared
-    // prefix: the machine's memory is gone. Lifetime cache counters
-    // survive the wipe.
+    // The reset voids every request's hold here without visiting it:
+    // queued, resident, in-flight and inbound-transfer KV alike,
+    // along with every cached shared prefix, since the machine's
+    // memory is gone. Lifetime cache counters survive the wipe.
     blocks_.reset();
 }
 
@@ -176,8 +172,8 @@ Mls::admitPrompts(BatchPlan& plan, std::int64_t token_budget, int slot_budget,
         // KV for the whole prompt (plus the token it produces) must
         // be allocatable up front; FCFS means a stuck head blocks
         // the queue. A partially-chunked head already holds blocks.
-        if (!blocks_.holds(req->spec.id) &&
-            !blocks_.allocate(req->spec.id, promptWorkTokens(req) + 1)) {
+        if (!blocks_.holds(*req) &&
+            !blocks_.allocate(*req, promptWorkTokens(req) + 1)) {
             break;
         }
         std::int64_t take = 0;
@@ -217,7 +213,7 @@ Mls::admitDecodes(BatchPlan& plan, int slot_budget)
             continue;
         }
         // Reserve room for the token this iteration will produce.
-        if (blocks_.extend(req->spec.id, req->contextTokens() + 1)) {
+        if (blocks_.extend(*req, req->contextTokens() + 1)) {
             plan.decodes.push_back(req);
         } else {
             ++req->starvedIterations;
@@ -235,7 +231,7 @@ Mls::preemptForMemory()
     // recompute placement at the queue front bound starvation.
     LiveRequest* victim = residents_.back();
     residents_.pop_back();
-    blocks_.release(victim->spec.id);
+    blocks_.release(*victim);
     ++victim->preemptions;
     ++preemptions_;
     victim->phase = RequestPhase::kPromptQueued;

@@ -1,6 +1,7 @@
 #ifndef SPLITWISE_ENGINE_REQUEST_H_
 #define SPLITWISE_ENGINE_REQUEST_H_
 
+#include <array>
 #include <cstdint>
 
 #include "metrics/request_metrics.h"
@@ -27,6 +28,33 @@ enum class RequestPhase {
 
 /** Human-readable phase name. */
 const char* requestPhaseName(RequestPhase phase);
+
+class BlockManager;
+
+/**
+ * One request's KV footprint on one machine: its private block table
+ * (vLLM-style, net of any pinned shared prefix) and its pin on a
+ * shared session prefix. The request row owns the record; the
+ * machine's BlockManager keeps only aggregates and finds the hold by
+ * owner. A hold is live while its owner's generation matches, so a
+ * crash (BlockManager::reset) voids every hold on the machine at once.
+ */
+struct KvHold {
+    /** Allocator holding the KV; nullptr while the record is unused.
+     *  Machines outlive the requests they serve, so a stale owner is
+     *  still safe to read. */
+    const BlockManager* owner = nullptr;
+    /** The owner's generation when the hold was taken. */
+    std::uint32_t generation = 0;
+    /** True once a private allocation exists (possibly of 0 tokens). */
+    bool allocated = false;
+    /** Private context tokens and the blocks holding them. */
+    std::int64_t tokens = 0;
+    std::int64_t blocks = 0;
+    /** Pinned shared-prefix key and its acquire-time size (0 = no pin). */
+    std::uint64_t prefixKey = 0;
+    std::int64_t prefixTokens = 0;
+};
 
 /**
  * Mutable simulation state of one request.
@@ -84,6 +112,12 @@ struct LiveRequest {
      * 0 = full prefill (default policy, or a cache miss).
      */
     std::int64_t cachedPrefixTokens = 0;
+
+    /**
+     * KV holds. Two suffice: a request holds KV on at most the source
+     * and the destination of one transfer.
+     */
+    std::array<KvHold, 2> kv{};
 
     /**
      * Slot index inside the owning RequestPool; pool bookkeeping

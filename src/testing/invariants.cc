@@ -49,7 +49,8 @@ InvariantViolation::InvariantViolation(std::string invariant, sim::TimeUs at,
 
 InvariantChecker::InvariantChecker(core::Cluster& cluster,
                                    InvariantOptions options)
-    : cluster_(cluster), options_(options)
+    : cluster_(cluster), options_(options),
+      holders_(cluster.machines().size())
 {
     hook_ = cluster_.simulator().addTimeAdvanceHook(
         [this](sim::TimeUs next) { onAdvance(next); });
@@ -101,10 +102,10 @@ InvariantChecker::refreshIndex()
     if (poolVersion_ == pool.version())
         return;
     poolVersion_ = pool.version();
-    byId_.clear();
-    byId_.reserve(pool.liveCount());
+    liveIds_.clear();
+    liveIds_.reserve(pool.liveCount());
     pool.forEachLive([&](const engine::LiveRequest& req) {
-        if (!byId_.emplace(req.spec.id, &req).second) {
+        if (!liveIds_.insert(req.spec.id).second) {
             violate("request-conservation",
                     "duplicate request id " + std::to_string(req.spec.id) +
                         " in the live set");
@@ -113,7 +114,7 @@ InvariantChecker::refreshIndex()
     // Snapshots of retired requests can never be observed again;
     // prune them so the checker's memory stays O(in-flight) too.
     for (auto it = lastSeen_.begin(); it != lastSeen_.end();) {
-        if (byId_.count(it->first) == 0)
+        if (liveIds_.count(it->first) == 0)
             it = lastSeen_.erase(it);
         else
             ++it;
@@ -126,6 +127,7 @@ InvariantChecker::checkNow()
     refreshIndex();
     checkRequests();
     checkMachines();
+    checkKv();
     if (controller_)
         checkController();
     checkTransfers();
@@ -142,6 +144,8 @@ InvariantChecker::checkRequests()
     const auto& pool = cluster_.requestPool();
     std::size_t liveSeen = 0;
     std::size_t decoding = 0;
+    for (auto& holders : holders_)
+        holders.clear();
 
     pool.forEachLive([&](const engine::LiveRequest& req) {
         ++liveSeen;
@@ -181,7 +185,7 @@ InvariantChecker::checkRequests()
                 cluster_.machines()[static_cast<std::size_t>(
                                         req.tokenMachine)]
                     ->mls();
-            if (!mls.resident(&req) || !mls.blocks().holds(req.spec.id)) {
+            if (!mls.resident(&req) || !mls.blocks().holds(req)) {
                 violate("kv-accounting",
                         requestTag(req) +
                             " decoding but not resident (or without KV) on "
@@ -239,6 +243,7 @@ InvariantChecker::checkRequests()
         }
         snap = Snapshot{req.phase,     req.generated,   req.restartEpoch,
                         req.restarts,  req.preemptions, req.doneTime};
+        collectHolds(req);
     });
 
     // Pool accounting must be internally consistent: the live column
@@ -354,82 +359,6 @@ InvariantChecker::checkMachines()
                             " still holds work or KV");
             }
         }
-
-        // The paged allocator's internal accounting must balance:
-        // a leak or double-free shows up as an aggregate mismatch.
-        const std::string audit = m.mls().blocks().audit();
-        if (!audit.empty()) {
-            violate("kv-accounting",
-                    "machine " + std::to_string(m.id()) + ": " + audit);
-        }
-
-        // Every held allocation belongs to a live, non-terminal
-        // request that is actually placed on this machine. An
-        // unknown id (or a done request's id) is a leaked block -
-        // the double-release/missing-release class of bug.
-        for (const std::uint64_t id : m.mls().blocks().heldRequestIds()) {
-            const auto it = byId_.find(id);
-            if (it == byId_.end()) {
-                violate("kv-orphan",
-                        "machine " + std::to_string(m.id()) +
-                            " holds KV for unknown request id " +
-                            std::to_string(id));
-            }
-            const engine::LiveRequest& req = *it->second;
-            if (req.terminal()) {
-                violate("kv-orphan",
-                        "machine " + std::to_string(m.id()) +
-                            " holds KV for terminal " + requestTag(req));
-            }
-            if (req.promptMachine != m.id() && req.tokenMachine != m.id()) {
-                violate("kv-orphan",
-                        "machine " + std::to_string(m.id()) +
-                            " holds KV for " + requestTag(req) +
-                            " which is not placed on it");
-            }
-        }
-
-        // Shared-prefix pins must balance against live requests:
-        // every pin belongs to a live, non-terminal request of that
-        // session, placed on this machine, whose prefix tag matches
-        // the pin's acquire-time size. (The per-entry refcount ==
-        // pin-count sum is already enforced by blocks().audit().)
-        for (const engine::PrefixReference& ref :
-             m.mls().blocks().prefixReferences()) {
-            const auto it = byId_.find(ref.requestId);
-            if (it == byId_.end()) {
-                violate("prefix-refcount",
-                        "machine " + std::to_string(m.id()) +
-                            " holds a prefix pin for unknown request id " +
-                            std::to_string(ref.requestId));
-            }
-            const engine::LiveRequest& req = *it->second;
-            if (req.terminal()) {
-                violate("prefix-refcount",
-                        "machine " + std::to_string(m.id()) +
-                            " holds a prefix pin for terminal " +
-                            requestTag(req));
-            }
-            if (req.spec.session != ref.key) {
-                violate("prefix-refcount",
-                        requestTag(req) + " pins prefix of session " +
-                            std::to_string(ref.key) + " but belongs to " +
-                            std::to_string(req.spec.session));
-            }
-            if (req.cachedPrefixTokens != ref.tokens) {
-                violate("prefix-refcount",
-                        requestTag(req) + " pin holds " +
-                            std::to_string(ref.tokens) +
-                            " tokens but the request's prefix tag says " +
-                            std::to_string(req.cachedPrefixTokens));
-            }
-            if (req.promptMachine != m.id() && req.tokenMachine != m.id()) {
-                violate("prefix-refcount",
-                        "machine " + std::to_string(m.id()) +
-                            " holds a prefix pin for " + requestTag(req) +
-                            " which is not placed on it");
-            }
-        }
     }
 
     if (cls.liveMachines() != alive) {
@@ -450,6 +379,81 @@ InvariantChecker::checkMachines()
                         std::to_string(cls.poolSize(pool)) +
                         " machines but " + std::to_string(routed) +
                         " routed machines sit in it");
+        }
+    }
+}
+
+void
+InvariantChecker::collectHolds(const engine::LiveRequest& req)
+{
+    // Every live hold belongs to a live, non-terminal request placed
+    // on the hold's machine. Holds live in the request rows, so the
+    // walk over the live slots sees every hold that can be counted;
+    // a hold left behind in a released row is not, and shows up in
+    // checkKv() as an allocation-count or aggregate mismatch.
+    const auto& machines = cluster_.machines();
+    for (const engine::KvHold& hold : req.kv) {
+        if (hold.owner == nullptr || !hold.owner->live(hold))
+            continue;
+        int mid = -1;
+        for (const int placed : {req.promptMachine, req.tokenMachine}) {
+            if (placed >= 0 &&
+                &machines[static_cast<std::size_t>(placed)]->mls().blocks() ==
+                    hold.owner) {
+                mid = placed;
+            }
+        }
+        if (mid < 0 || req.terminal()) {
+            violate(hold.allocated ? "kv-orphan" : "prefix-refcount",
+                    requestTag(req) +
+                        (hold.allocated ? " holds KV" : " pins a prefix") +
+                        (mid < 0 ? " on a machine it is not placed on"
+                                 : " while terminal"));
+        }
+        if (hold.prefixTokens > 0) {
+            if (req.spec.session != hold.prefixKey) {
+                violate("prefix-refcount",
+                        requestTag(req) + " pins prefix of session " +
+                            std::to_string(hold.prefixKey) +
+                            " but belongs to " +
+                            std::to_string(req.spec.session));
+            }
+            if (req.cachedPrefixTokens != hold.prefixTokens) {
+                violate("prefix-refcount",
+                        requestTag(req) + " pin holds " +
+                            std::to_string(hold.prefixTokens) +
+                            " tokens but the request's prefix tag says " +
+                            std::to_string(req.cachedPrefixTokens));
+            }
+        }
+        holders_[static_cast<std::size_t>(mid)].push_back(&req);
+    }
+}
+
+void
+InvariantChecker::checkKv()
+{
+    const auto& machines = cluster_.machines();
+    for (std::size_t i = 0; i < machines.size(); ++i) {
+        const engine::BlockManager& blocks = machines[i]->mls().blocks();
+        // An allocation no live request holds is a leaked block - the
+        // double-release/missing-release class of bug.
+        std::size_t held = 0;
+        for (const engine::LiveRequest* req : holders_[i])
+            held += blocks.holds(*req) ? 1 : 0;
+        if (blocks.residents() != held) {
+            violate("kv-orphan",
+                    "machine " + std::to_string(i) + " counts " +
+                        std::to_string(blocks.residents()) +
+                        " KV allocations but live requests hold " +
+                        std::to_string(held));
+        }
+        // The aggregates must equal the live holds' sums plus the
+        // shared tier, and each prefix's refcount its live pins.
+        const std::string audit = blocks.audit(holders_[i]);
+        if (!audit.empty()) {
+            violate("kv-accounting",
+                    "machine " + std::to_string(i) + ": " + audit);
         }
     }
 }
@@ -679,33 +683,12 @@ InvariantChecker::finalCheck(const core::RunReport& report)
             violate("liveness", "machine " + std::to_string(m->id()) +
                                     " still busy after the run drained");
         }
-        if (m->mls().blocks().residents() != 0) {
-            const auto held = m->mls().blocks().heldRequestIds();
-            violate("kv-orphan",
-                    "machine " + std::to_string(m->id()) + " ends the run "
-                        "holding " +
-                        std::to_string(held.size()) +
-                        " KV allocations (first id " +
-                        std::to_string(held.empty() ? 0 : held.front()) +
-                        ")");
-        }
-        const std::string audit = m->mls().blocks().audit();
-        if (!audit.empty()) {
-            violate("kv-accounting",
-                    "machine " + std::to_string(m->id()) + ": " + audit);
-        }
-        // Every session is over once the run drains, so no shared
-        // prefix may still be pinned: surviving cache entries must
-        // all be reclaimable (refcount zero).
-        if (!m->mls().blocks().prefixReferences().empty()) {
-            violate("prefix-refcount",
-                    "machine " + std::to_string(m->id()) +
-                        " ends the run with " +
-                        std::to_string(
-                            m->mls().blocks().prefixReferences().size()) +
-                        " live prefix pins");
-        }
     }
+    // The pool has drained, so no request holds KV: any allocation
+    // or pin still counted is leaked (kv-orphan, kv-accounting).
+    for (auto& holders : holders_)
+        holders.clear();
+    checkKv();
 
     const auto& engine = cluster_.transferEngine();
     if (engine.inFlightTransfers() != 0 || engine.waitingTransfers() != 0) {

@@ -24,6 +24,8 @@
 #include <stdexcept>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
+#include <vector>
 
 #include "control/autoscaler.h"
 #include "core/cluster.h"
@@ -133,6 +135,10 @@ class InvariantChecker {
     void refreshIndex();
     void checkRequests();
     void checkMachines();
+    /** Check @p req's live KV holds and file them in holders_. */
+    void collectHolds(const engine::LiveRequest& req);
+    /** Each machine's allocator against the holds in holders_. */
+    void checkKv();
     void checkController();
     void checkTransfers();
     void checkTelemetry();
@@ -157,12 +163,15 @@ class InvariantChecker {
     sim::TimeUs lastAdvance_ = -1;
     engine::KvTransferEngine::Stats lastTransferStats_;
     /**
-     * Pool version byId_ was built against; rebuilt whenever the
+     * Pool version liveIds_ was built against; rebuilt whenever the
      * pool acquires or releases a slot (recycling means size alone
      * cannot detect churn).
      */
     std::uint64_t poolVersion_ = ~0ull;
-    std::unordered_map<std::uint64_t, const engine::LiveRequest*> byId_;
+    std::unordered_set<std::uint64_t> liveIds_;
+    /** Per machine: live requests holding KV there, filed by
+     *  checkRequests(). */
+    std::vector<std::vector<const engine::LiveRequest*>> holders_;
     std::unordered_map<std::uint64_t, Snapshot> lastSeen_;
 };
 

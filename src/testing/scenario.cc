@@ -14,10 +14,6 @@ namespace splitwise::testing {
 
 namespace {
 
-/** Phantom-id namespace for seeded KV-leak bugs: never collides
- *  with trace request ids, so the orphan invariant must fire. */
-constexpr std::uint64_t kPhantomIdBase = 1ull << 62;
-
 constexpr const char* kFormatTag = "splitwise-dst-scenario-v1";
 
 provision::DesignKind
@@ -307,6 +303,10 @@ runScenario(const Scenario& scenario, const InvariantOptions& options)
 
     ScenarioOutcome outcome;
     bool leaked = false;
+    // Seeded KV-leak bugs allocate for this request, which no pool
+    // slot owns: the checker cannot find its hold, so the orphan
+    // invariant must fire. It outlives the cluster that counts it.
+    engine::LiveRequest phantom;
 
     core::Cluster cluster(model::llama2_70b(), scenarioDesign(scenario),
                           scenarioSimConfig(scenario));
@@ -316,16 +316,15 @@ runScenario(const Scenario& scenario, const InvariantOptions& options)
     // Seeded bugs install their hooks before the checker's, so the
     // corruption lands just before the same quiescent point's check.
     if (scenario.bug.kind == BugKind::kOrphanKvBlock) {
-        cluster.simulator().postAfter(scenario.bug.atUs, [&cluster,
-                                                             &scenario] {
+        cluster.simulator().postAfter(scenario.bug.atUs, [&cluster, &scenario,
+                                                           &phantom] {
             const auto idx =
                 static_cast<std::size_t>(scenario.bug.machineId);
-            cluster.machines()[idx]->mls().blocks().allocate(
-                kPhantomIdBase + 1, 16);
+            cluster.machines()[idx]->mls().blocks().allocate(phantom, 16);
         });
     } else if (scenario.bug.kind == BugKind::kLeakPromptKv) {
-        cluster.simulator().addTimeAdvanceHook([&cluster,
-                                                &leaked](sim::TimeUs) {
+        cluster.simulator().addTimeAdvanceHook([&cluster, &leaked,
+                                                &phantom](sim::TimeUs) {
             if (leaked)
                 return;
             cluster.requestPool().forEachLive(
@@ -342,7 +341,7 @@ runScenario(const Scenario& scenario, const InvariantOptions& options)
                                                req.promptMachine)]
                             ->mls()
                             .blocks();
-                    if (blocks.allocate(kPhantomIdBase + req.spec.id, 16))
+                    if (blocks.allocate(phantom, 16))
                         leaked = true;
                 });
         });

@@ -150,6 +150,46 @@ TEST_F(KvTransferTest, MemoryStallDefersTransferUntilFreed)
     EXPECT_EQ(engine_.stats().transfers, 1u);
 }
 
+TEST_F(KvTransferTest, TransferHoldsOnBothMachinesUntilDelivery)
+{
+    // Serialized transfer (small prompt): the wire time spans several
+    // probe steps.
+    LiveRequest* req = makeRequest(128, 4);
+    const BlockManager& src = machines_[0]->mls().blocks();
+    const BlockManager& dst = machines_[1]->mls().blocks();
+    int in_flight = 0;
+    int delivered = 0;
+    constexpr sim::TimeUs kStepUs = 100;
+    for (sim::TimeUs at = 0; at < sim::secondsToUs(2.0); at += kStepUs) {
+        sim_.post(at, [&, req] {
+            if (req->phase == RequestPhase::kTransferring) {
+                ++in_flight;
+                EXPECT_TRUE(src.holds(*req));
+                EXPECT_TRUE(dst.holds(*req));
+            } else if (req->phase == RequestPhase::kDecoding) {
+                ++delivered;
+                EXPECT_FALSE(src.holds(*req));
+                EXPECT_EQ(src.holdOf(*req), nullptr);
+                EXPECT_TRUE(dst.holds(*req));
+                EXPECT_EQ(src.residents(), 0u);
+            } else {
+                return;
+            }
+            EXPECT_EQ(src.audit({req}), "");
+            EXPECT_EQ(dst.audit({req}), "");
+        });
+    }
+    machines_[0]->submitPrompt(req);
+    sim_.run();
+    EXPECT_GT(in_flight, 0);
+    EXPECT_GT(delivered, 0);
+    ASSERT_TRUE(req->finished());
+    EXPECT_FALSE(dst.holds(*req));
+    EXPECT_EQ(src.audit({req}), "");
+    EXPECT_EQ(dst.audit({req}), "");
+    EXPECT_EQ(dst.residents(), 0u);
+}
+
 TEST_F(KvTransferTest, InterferenceOnlyForLayerwise)
 {
     LiveRequest* small = makeRequest(128, 2);
@@ -307,7 +347,7 @@ TEST_F(KvTransferTest, SrcDiesMidFlightReleasesDstReservation)
     // The destination's reserved-but-unfilled blocks were released:
     // nothing leaks even with no cluster-level failure handler.
     EXPECT_EQ(machines_[1]->mls().blocks().usedTokens(), 0);
-    EXPECT_FALSE(machines_[1]->mls().blocks().holds(req->spec.id));
+    EXPECT_FALSE(machines_[1]->mls().blocks().holds(*req));
 }
 
 TEST_F(KvTransferTest, DstDiesMidFlightReleasesSrcCopy)

@@ -123,9 +123,9 @@ TEST_F(MachineTest, RemoteDestinationFiresPromptDoneAndKeepsKv)
     EXPECT_EQ(req->phase, RequestPhase::kTransferring);
     EXPECT_EQ(req->generated, 1);
     // The prompt machine holds the KV until the transfer finishes.
-    EXPECT_TRUE(m.mls().blocks().holds(req->spec.id));
+    EXPECT_TRUE(m.mls().blocks().holds(*req));
     m.releaseKv(req);
-    EXPECT_FALSE(m.mls().blocks().holds(req->spec.id));
+    EXPECT_FALSE(m.mls().blocks().holds(*req));
 }
 
 TEST_F(MachineTest, AcceptTransferredDecodesToCompletion)
@@ -259,6 +259,35 @@ TEST_F(MachineTest, FailDropsAllWork)
     EXPECT_FALSE(m.mls().hasWork());
     EXPECT_EQ(m.tokenLoadTokens(), 0);
     // The in-flight iteration's completion is a no-op.
+    sim_.run();
+    EXPECT_TRUE(done_.empty());
+}
+
+TEST_F(MachineTest, FailThenRecoverLeavesNoStaleHoldCounted)
+{
+    Machine& m = makeMachine();
+    LiveRequest* queued = makeRequest(1000, 5);
+    LiveRequest* reserved = makeRequest(100, 5);
+    m.submitPrompt(queued);
+    ASSERT_TRUE(m.reserveKv(reserved, 200));
+    ASSERT_TRUE(m.mls().blocks().holds(*queued));
+    m.fail();
+    m.recover();
+    // The rows still carry their records, but the crash voided them
+    // without visiting either request.
+    const BlockManager& blocks = m.mls().blocks();
+    EXPECT_FALSE(blocks.holds(*queued));
+    EXPECT_FALSE(blocks.holds(*reserved));
+    EXPECT_EQ(blocks.residents(), 0u);
+    EXPECT_EQ(blocks.usedTokens(), 0);
+    EXPECT_EQ(blocks.audit({queued, reserved}), "");
+    // The same request can allocate on the recovered machine again.
+    ASSERT_TRUE(m.reserveKv(reserved, 200));
+    EXPECT_EQ(blocks.residents(), 1u);
+    EXPECT_EQ(blocks.audit({queued, reserved}), "");
+    m.releaseKv(reserved);
+    EXPECT_EQ(blocks.residents(), 0u);
+    // The iteration that was in flight at the crash stays void.
     sim_.run();
     EXPECT_TRUE(done_.empty());
 }

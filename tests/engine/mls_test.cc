@@ -26,8 +26,7 @@ class MlsTest : public ::testing::Test {
     {
         LiveRequest* req = makeRequest(prompt, output);
         req->generated = generated;
-        EXPECT_TRUE(mls.blocks().allocate(req->spec.id,
-                                          req->contextTokens() + 1));
+        EXPECT_TRUE(mls.blocks().allocate(*req, req->contextTokens() + 1));
         mls.addResident(req);
         return req;
     }
@@ -157,8 +156,8 @@ TEST_F(MlsTest, PromptAllocationReservesKv)
     LiveRequest* req = makeRequest(1000, 5);
     mls.enqueuePrompt(req);
     mls.nextBatch();
-    EXPECT_TRUE(mls.blocks().holds(req->spec.id));
-    EXPECT_GE(mls.blocks().tokensOf(req->spec.id), 1001);
+    EXPECT_TRUE(mls.blocks().holds(*req));
+    EXPECT_GE(mls.blocks().holdOf(*req)->tokens, 1001);
 }
 
 TEST_F(MlsTest, MemoryFullBlocksPromptAdmission)
@@ -177,7 +176,7 @@ TEST_F(MlsTest, DecodeExtensionReservesNextToken)
     Mls mls(config(BatchPolicy::kMixed), 100000);
     LiveRequest* req = makeResident(mls, 100, 1, 10);
     mls.nextBatch();
-    EXPECT_GE(mls.blocks().tokensOf(req->spec.id), req->contextTokens() + 1);
+    EXPECT_GE(mls.blocks().holdOf(*req)->tokens, req->contextTokens() + 1);
 }
 
 TEST_F(MlsTest, MaxBatchSizeCapsDecodes)
@@ -206,7 +205,8 @@ TEST_F(MlsTest, PreemptsNewestResidentWhenWedged)
     LiveRequest* resident = makeResident(mls, 1000, 1, 60);
     // Fill every remaining block (as a reserved inbound transfer
     // would), so the decode wedges at its next block boundary.
-    ASSERT_TRUE(mls.blocks().allocate(9999, mls.blocks().freeTokens()));
+    LiveRequest filler;
+    ASSERT_TRUE(mls.blocks().allocate(filler, mls.blocks().freeTokens()));
     mls.enqueuePrompt(makeRequest(1500, 5));
 
     BatchPlan plan = mls.nextBatch();
@@ -227,7 +227,7 @@ TEST_F(MlsTest, PreemptsNewestResidentWhenWedged)
 
     // The filler releasing (transfer completed) unwedges the queue:
     // the victim recomputes its whole accumulated context, FCFS.
-    mls.blocks().release(9999);
+    mls.blocks().release(filler);
     plan = mls.nextBatch();
     ASSERT_FALSE(plan.prompts.empty());
     EXPECT_EQ(plan.prompts[0], resident);

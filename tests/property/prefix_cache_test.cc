@@ -37,6 +37,11 @@ TEST(PrefixCacheProperty, RandomSessionInterleavingsMatchReferenceModel)
     for (std::uint64_t seed : {11ull, 222ull, 3333ull, 44444ull, 555555ull}) {
         engine::BlockManager bm(capacity, block);
         sim::Rng rng(seed);
+        // Request ids 1..24 index their rows; the audit sees them all.
+        std::vector<engine::LiveRequest> requests(25);
+        std::vector<const engine::LiveRequest*> holders;
+        for (const engine::LiveRequest& req : requests)
+            holders.push_back(&req);
 
         std::map<std::uint64_t, ReferenceEntry> entries;   // session key
         std::map<std::uint64_t, ReferencePin> pins;        // request id
@@ -54,6 +59,7 @@ TEST(PrefixCacheProperty, RandomSessionInterleavingsMatchReferenceModel)
                 static_cast<std::uint64_t>(rng.uniformInt(1, 8));
             const std::uint64_t id =
                 static_cast<std::uint64_t>(rng.uniformInt(1, 24));
+            engine::LiveRequest& req = requests[id];
             const std::string where = "seed " + std::to_string(seed) +
                                       " step " + std::to_string(step) +
                                       " op " + std::to_string(op);
@@ -81,7 +87,7 @@ TEST(PrefixCacheProperty, RandomSessionInterleavingsMatchReferenceModel)
                 // contribution even if the entry grows later.
                 const bool cached = entries.count(key) > 0;
                 const bool free_id = pins.count(id) == 0;
-                const bool ok = bm.acquirePrefix(key, id);
+                const bool ok = bm.acquirePrefix(key, req);
                 ASSERT_EQ(ok, cached && free_id) << where;
                 if (ok) {
                     pins[id] = {key, entries[key].tokens};
@@ -97,7 +103,7 @@ TEST(PrefixCacheProperty, RandomSessionInterleavingsMatchReferenceModel)
                 const auto pin = pins.find(id);
                 const std::int64_t pinned =
                     pin == pins.end() ? 0 : pin->second.tokens;
-                if (bm.allocate(id, tokens)) {
+                if (bm.allocate(req, tokens)) {
                     ASSERT_EQ(allocs.count(id), 0u) << where;
                     allocs[id] = std::max<std::int64_t>(0, tokens - pinned);
                 } else {
@@ -114,21 +120,21 @@ TEST(PrefixCacheProperty, RandomSessionInterleavingsMatchReferenceModel)
                 const std::int64_t pinned =
                     pin == pins.end() ? 0 : pin->second.tokens;
                 if (it == allocs.end()) {
-                    ASSERT_FALSE(bm.extend(id, grow)) << where;
+                    ASSERT_FALSE(bm.extend(req, grow)) << where;
                 } else {
                     const std::int64_t total =
                         pinned + it->second + grow;
-                    if (bm.extend(id, total))
+                    if (bm.extend(req, total))
                         it->second += grow;
                 }
             } else if (op < 96) {
                 // Request done (or preempted): drop blocks and pin.
                 // Double releases must be harmless no-ops.
-                bm.release(id);
+                bm.release(req);
                 allocs.erase(id);
                 pins.erase(id);
                 if (rng.bernoulli(0.2))
-                    bm.release(id);
+                    bm.release(req);
             } else {
                 // Machine crash: KV and cache gone, counters survive.
                 bm.reset();
@@ -138,7 +144,7 @@ TEST(PrefixCacheProperty, RandomSessionInterleavingsMatchReferenceModel)
             }
 
             // --- Invariants after every operation ---
-            ASSERT_EQ(bm.audit(), "") << where;
+            ASSERT_EQ(bm.audit(holders), "") << where;
 
             // Ref-count conservation: every entry's refcount equals
             // the live pins pointing at it, and pinned entries are
@@ -165,17 +171,18 @@ TEST(PrefixCacheProperty, RandomSessionInterleavingsMatchReferenceModel)
             }
             ASSERT_EQ(bm.sharedPrefixCount(), entries.size()) << where;
 
-            // The pin view round-trips exactly.
-            const auto refs = bm.prefixReferences();
-            ASSERT_EQ(refs.size(), pins.size()) << where;
-            for (const auto& ref : refs) {
-                const auto it = pins.find(ref.requestId);
-                ASSERT_NE(it, pins.end()) << where;
-                ASSERT_EQ(it->second.key, ref.key) << where;
-                ASSERT_EQ(it->second.tokens, ref.tokens) << where;
-                ASSERT_EQ(bm.prefixTokensHeldBy(ref.requestId),
-                          ref.tokens)
-                    << where;
+            // The pins in the request rows round-trip exactly.
+            for (std::uint64_t rid = 1; rid < requests.size(); ++rid) {
+                const engine::KvHold* hold = bm.holdOf(requests[rid]);
+                const auto it = pins.find(rid);
+                if (it == pins.end()) {
+                    ASSERT_TRUE(hold == nullptr || hold->prefixTokens == 0)
+                        << where;
+                    continue;
+                }
+                ASSERT_NE(hold, nullptr) << where;
+                ASSERT_EQ(it->second.key, hold->prefixKey) << where;
+                ASSERT_EQ(it->second.tokens, hold->prefixTokens) << where;
             }
 
             // Token conservation across private + shared tiers (a
@@ -210,20 +217,21 @@ TEST(PrefixCacheProperty, RandomSessionInterleavingsMatchReferenceModel)
 TEST(PrefixCacheProperty, DoubleAcquireIsAMissAndDoubleReleaseIsANoop)
 {
     engine::BlockManager bm(1024, 16);
+    engine::LiveRequest r1;
     ASSERT_TRUE(bm.storePrefix(7, 100));
-    ASSERT_TRUE(bm.acquirePrefix(7, 1));
+    ASSERT_TRUE(bm.acquirePrefix(7, r1));
     // A request holds at most one pin; the second acquire is a miss
     // and must not bump the refcount.
-    ASSERT_FALSE(bm.acquirePrefix(7, 1));
+    ASSERT_FALSE(bm.acquirePrefix(7, r1));
     ASSERT_EQ(bm.prefixRefcount(7), 1);
     ASSERT_EQ(bm.prefixStats().hits, 1u);
     ASSERT_EQ(bm.prefixStats().misses, 1u);
 
-    bm.release(1);
+    bm.release(r1);
     ASSERT_EQ(bm.prefixRefcount(7), 0);
-    bm.release(1);  // double free: no-op, refcount stays at zero
+    bm.release(r1);  // double free: no-op, refcount stays at zero
     ASSERT_EQ(bm.prefixRefcount(7), 0);
-    ASSERT_EQ(bm.audit(), "");
+    ASSERT_EQ(bm.audit({&r1}), "");
 }
 
 TEST(PrefixCacheProperty, PinnedPrefixSurvivesPressureUnpinnedIsEvictedLru)
@@ -231,51 +239,53 @@ TEST(PrefixCacheProperty, PinnedPrefixSurvivesPressureUnpinnedIsEvictedLru)
     // 16 blocks of 16 tokens. Two cached prefixes of 4 blocks each;
     // one pinned, one idle.
     engine::BlockManager bm(256, 16);
+    engine::LiveRequest r10, r20, r21;
     ASSERT_TRUE(bm.storePrefix(1, 64));
     ASSERT_TRUE(bm.storePrefix(2, 64));
-    ASSERT_TRUE(bm.acquirePrefix(1, 10));
+    ASSERT_TRUE(bm.acquirePrefix(1, r10));
 
     // 12 free blocks on paper, 8 truly free. A 160-token allocation
     // needs 10 blocks: the idle prefix must be evicted, the pinned
     // one must survive.
-    ASSERT_TRUE(bm.allocate(20, 160));
+    ASSERT_TRUE(bm.allocate(r20, 160));
     ASSERT_EQ(bm.prefixRefcount(2), -1);
     ASSERT_EQ(bm.prefixRefcount(1), 1);
     ASSERT_EQ(bm.prefixStats().evictions, 1u);
 
     // Only 2 blocks remain and the surviving prefix is pinned, so a
     // 3-block allocation must fail rather than evict it.
-    ASSERT_FALSE(bm.allocate(21, 48));
+    ASSERT_FALSE(bm.allocate(r21, 48));
     ASSERT_EQ(bm.prefixRefcount(1), 1);
 
     // Dropping the pin makes the entry reclaimable; the same
     // allocation now succeeds by evicting it.
-    bm.release(10);
-    ASSERT_TRUE(bm.allocate(21, 48));
+    bm.release(r10);
+    ASSERT_TRUE(bm.allocate(r21, 48));
     ASSERT_EQ(bm.prefixRefcount(1), -1);
     ASSERT_EQ(bm.prefixStats().evictions, 2u);
-    ASSERT_EQ(bm.audit(), "");
+    ASSERT_EQ(bm.audit({&r10, &r20, &r21}), "");
 }
 
 TEST(PrefixCacheProperty, HitTokensPriceTheAcquireTimeSize)
 {
     engine::BlockManager bm(2048, 16);
+    engine::LiveRequest r1, r2;
     ASSERT_TRUE(bm.storePrefix(5, 200));
-    ASSERT_TRUE(bm.acquirePrefix(5, 1));
+    ASSERT_TRUE(bm.acquirePrefix(5, r1));
     ASSERT_EQ(bm.prefixStats().hitTokens, 200);
 
     // The entry grows while pinned; the existing pin keeps pricing
     // its acquire-time 200 tokens, a later pin prices 300.
     ASSERT_TRUE(bm.storePrefix(5, 300));
-    ASSERT_EQ(bm.prefixTokensHeldBy(1), 200);
-    ASSERT_TRUE(bm.acquirePrefix(5, 2));
+    ASSERT_EQ(bm.holdOf(r1)->prefixTokens, 200);
+    ASSERT_TRUE(bm.acquirePrefix(5, r2));
     ASSERT_EQ(bm.prefixStats().hitTokens, 500);
 
     // allocate() deducts the pin: a 260-token context on a 200-token
     // pin stores only the 60-token suffix privately.
-    ASSERT_TRUE(bm.allocate(1, 260));
-    ASSERT_EQ(bm.tokensOf(1), 60);
-    ASSERT_EQ(bm.audit(), "");
+    ASSERT_TRUE(bm.allocate(r1, 260));
+    ASSERT_EQ(bm.holdOf(r1)->tokens, 60);
+    ASSERT_EQ(bm.audit({&r1, &r2}), "");
 }
 
 }  // namespace

@@ -181,6 +181,7 @@ TEST(BlockManagerProperty, RandomOpsMatchReferenceModel)
     const std::int64_t capacity = 4096;
     const int block = 16;
     engine::BlockManager bm(capacity, block);
+    std::vector<engine::LiveRequest> requests(21);
     std::map<std::uint64_t, std::int64_t> reference;  // id -> tokens
     sim::Rng rng(12345);
 
@@ -198,32 +199,33 @@ TEST(BlockManagerProperty, RandomOpsMatchReferenceModel)
         const int op = static_cast<int>(rng.uniformInt(0, 2));
         const std::uint64_t id = static_cast<std::uint64_t>(
             rng.uniformInt(0, 20));
+        engine::LiveRequest& req = requests[id];
         if (op == 0) {
             const std::int64_t tokens = rng.uniformInt(0, 600);
             const bool expect_ok =
                 reference.count(id) == 0 &&
                 blocks_for(tokens) <= capacity / block - used_blocks();
-            ASSERT_EQ(bm.allocate(id, tokens), expect_ok) << "step " << step;
+            ASSERT_EQ(bm.allocate(req, tokens), expect_ok) << "step " << step;
             if (expect_ok)
                 reference[id] = tokens;
         } else if (op == 1) {
             const std::int64_t grow = rng.uniformInt(0, 64);
             const auto it = reference.find(id);
             if (it == reference.end()) {
-                ASSERT_FALSE(bm.extend(id, grow));
+                ASSERT_FALSE(bm.extend(req, grow));
             } else {
                 const std::int64_t target = it->second + grow;
                 const std::int64_t need =
                     blocks_for(target) - blocks_for(it->second);
                 const bool expect_ok =
                     need <= capacity / block - used_blocks();
-                ASSERT_EQ(bm.extend(id, target), expect_ok)
+                ASSERT_EQ(bm.extend(req, target), expect_ok)
                     << "step " << step;
                 if (expect_ok)
                     it->second = target;
             }
         } else {
-            bm.release(id);
+            bm.release(req);
             reference.erase(id);
         }
         // Aggregate invariants hold after every operation.

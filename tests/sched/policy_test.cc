@@ -124,7 +124,8 @@ TEST_F(PrefixCacheTest, EvictedPrefixIsForgotten)
     // A request that needs the whole pool evicts the refcount-zero
     // prefix behind the directory's back.
     engine::BlockManager& blocks = machine(0).mls().blocks();
-    ASSERT_TRUE(blocks.allocate(99, blocks.tokenCapacity()));
+    engine::LiveRequest filler;
+    ASSERT_TRUE(blocks.allocate(filler, blocks.tokenCapacity()));
     ASSERT_EQ(blocks.sharedPrefixCount(), 0u);
 
     engine::LiveRequest next = turn(7, 1500);

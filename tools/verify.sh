@@ -3,7 +3,7 @@
 # Full verification sweep for the Splitwise simulator.
 #
 #   tools/verify.sh          tier-1 build + tests, format check,
-#                            determinism gate
+#                            determinism and digest gates
 #   tools/verify.sh --asan   ... plus an ASan/UBSan build + tests (slow)
 #   tools/verify.sh --tsan   ... plus a TSan build of the parallel
 #                            sweep and HTTP front-end tests, the same
@@ -58,6 +58,9 @@ build/bench/bench_autoscale --short --jobs 8 \
     --report-out="$tmpdir/autoscale-jobs8.json" >/dev/null
 cmp "$tmpdir/autoscale-jobs1.json" "$tmpdir/autoscale-jobs8.json"
 echo "autoscale reports byte-identical across job counts"
+
+step "digest gate: perfbench workloads match tools/perfbench_digests.txt"
+tools/check_perfbench_digests.sh
 
 step "DST smoke: bench_dst --short (fuzz + invariant checker)"
 build/bench/bench_dst --short --jobs 4
