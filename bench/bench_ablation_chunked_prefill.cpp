@@ -42,10 +42,10 @@ main(int argc, char** argv)
         const auto slo = checker.evaluate(report.requests, core::SloSet{});
         table.addRow({
             name,
-            Table::fmt(report.requests.ttftMs().p50(), 0),
-            Table::fmt(report.requests.ttftMs().p90(), 0),
-            Table::fmt(report.requests.tbtMs().p50(), 1),
-            Table::fmt(report.requests.maxTbtMs().p90(), 0),
+            Table::fmt(report.requests.ttftStats().p50, 0),
+            Table::fmt(report.requests.ttftStats().p90, 0),
+            Table::fmt(report.requests.tbtStats().p50, 1),
+            Table::fmt(report.requests.maxTbtStats().p90, 0),
             slo.pass ? "pass" : "FAIL " + slo.violation,
         });
     };

@@ -93,7 +93,7 @@ main(int argc, char** argv)
                 reduction,
                 Table::fmt(sim::usToSeconds(report.promptPool.busyUs), 1),
                 Table::fmt(sim::usToSeconds(report.tokenPool.busyUs), 1),
-                Table::fmt(report.requests.ttftMs().p99(), 0),
+                Table::fmt(report.requests.ttftStats().p99, 0),
             });
         }
     }

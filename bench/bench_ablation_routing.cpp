@@ -37,10 +37,10 @@ main(int argc, char** argv)
         const auto slo = checker.evaluate(report.requests, core::SloSet{});
         table.addRow({
             random ? "random" : "JSQ (paper)",
-            Table::fmt(report.requests.ttftMs().p50(), 0),
-            Table::fmt(report.requests.ttftMs().p99(), 0),
-            Table::fmt(report.requests.tbtMs().p50(), 1),
-            Table::fmt(report.requests.e2eMs().p99() / 1e3, 2),
+            Table::fmt(report.requests.ttftStats().p50, 0),
+            Table::fmt(report.requests.ttftStats().p99, 0),
+            Table::fmt(report.requests.tbtStats().p50, 1),
+            Table::fmt(report.requests.e2eStats().p99 / 1e3, 2),
             slo.pass ? "pass" : "FAIL " + slo.violation,
         });
     }

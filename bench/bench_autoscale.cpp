@@ -241,7 +241,7 @@ main(int argc, char** argv)
                                res.report.tokenPool.energyWh +
                                res.report.tokenPool.idleEnergyWh, 0),
                 Table::fmt(100.0 * res.attainment, 1),
-                Table::fmt(res.report.requests.ttftMs().p99(), 0),
+                Table::fmt(res.report.requests.ttftStats().p99, 0),
                 std::to_string(res.report.requests.completed()),
                 std::to_string(res.report.rejected),
                 ctl.enabled ? std::to_string(ctl.scaleUps) + "/" +

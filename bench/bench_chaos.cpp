@@ -141,10 +141,10 @@ main(int argc, char** argv)
                 run.faulted ? "storm " + std::to_string(run.seed)
                             : "fault-free",
                 Table::fmt(res.report.throughputRps(), 1),
-                Table::fmt(res.report.requests.ttftMs().p50(), 0),
-                Table::fmt(res.report.requests.ttftMs().p99(), 0),
-                Table::fmt(res.report.requests.tbtMs().p50(), 1),
-                Table::fmt(res.report.requests.tbtMs().p99(), 1),
+                Table::fmt(res.report.requests.ttftStats().p50, 0),
+                Table::fmt(res.report.requests.ttftStats().p99, 0),
+                Table::fmt(res.report.requests.tbtStats().p50, 1),
+                Table::fmt(res.report.requests.tbtStats().p99, 1),
                 std::to_string(res.report.requests.completed()),
                 std::to_string(res.report.rejected),
                 slo.pass ? "pass" : "FAIL " + slo.violation,

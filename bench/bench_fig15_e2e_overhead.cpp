@@ -63,11 +63,11 @@ main(int argc, char** argv)
         const auto second = secondTokenSummary(r);
         table.addRow({
             name,
-            Table::fmt(r.requests.ttftMs().p50(), 1),
+            Table::fmt(r.requests.ttftStats().p50, 1),
             Table::fmt(second.p50(), 1),
-            Table::fmt(r.requests.e2eMs().p50(), 1),
-            Table::fmt(100.0 * (r.requests.e2eMs().p50() /
-                                    local.requests.e2eMs().p50() -
+            Table::fmt(r.requests.e2eStats().p50, 1),
+            Table::fmt(100.0 * (r.requests.e2eStats().p50 /
+                                    local.requests.e2eStats().p50 -
                                 1.0),
                        1) + "%",
             Table::fmt(100.0 * (second.p50() / base_second.p50() - 1.0), 1) +

@@ -47,10 +47,10 @@ sweepWorkload(const char* workload_name,
                 design.name,
                 pools,
                 Table::fmt(rps, 0),
-                Table::fmt(report.requests.ttftMs().p50(), 0),
-                Table::fmt(report.requests.tbtMs().p50(), 1),
-                Table::fmt(report.requests.maxTbtMs().p90(), 0),
-                Table::fmt(report.requests.e2eMs().p50() / 1e3, 2),
+                Table::fmt(report.requests.ttftStats().p50, 0),
+                Table::fmt(report.requests.tbtStats().p50, 1),
+                Table::fmt(report.requests.maxTbtStats().p90, 0),
+                Table::fmt(report.requests.e2eStats().p50 / 1e3, 2),
                 slo.pass ? "pass" : "FAIL " + slo.violation,
             });
         }

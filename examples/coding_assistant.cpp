@@ -56,11 +56,11 @@ main(int argc, char** argv)
         table.addRow({
             design.name + " (" + std::to_string(design.numPrompt) + "P+" +
                 std::to_string(design.numToken) + "T)",
-            Table::fmt(m.ttftMs().p50(), 0) + "/" +
-                Table::fmt(m.ttftMs().p90(), 0),
-            Table::fmt(m.tbtMs().p50(), 1),
-            Table::fmt(m.maxTbtMs().p90(), 0),
-            Table::fmt(m.e2eMs().p50(), 0),
+            Table::fmt(m.ttftStats().p50, 0) + "/" +
+                Table::fmt(m.ttftStats().p90, 0),
+            Table::fmt(m.tbtStats().p50, 1),
+            Table::fmt(m.maxTbtStats().p90, 0),
+            Table::fmt(m.e2eStats().p50, 0),
             slo.pass ? "pass" : "FAIL " + slo.violation,
         });
     }

@@ -62,9 +62,9 @@ main()
             std::to_string(m.completed()),
             std::to_string(o.report.restarts),
             std::to_string(o.report.checkpointRestores),
-            Table::fmt(m.e2eMs().p50() / 1e3),
-            Table::fmt(m.e2eMs().p99() / 1e3),
-            Table::fmt(m.maxTbtMs().p99(), 0),
+            Table::fmt(m.e2eStats().p50 / 1e3),
+            Table::fmt(m.e2eStats().p99 / 1e3),
+            Table::fmt(m.maxTbtStats().p99, 0),
         });
     };
     row("no failure", runWith(false, false, trace));

@@ -44,13 +44,14 @@ main(int argc, char** argv)
     const core::RunReport report = cluster.run(trace);
 
     Table table({"metric", "p50", "p90", "p99"});
-    auto row = [&](const char* name, const metrics::Summary& s) {
-        table.addRow({name, Table::fmt(s.p50(), 1), Table::fmt(s.p90(), 1),
-                      Table::fmt(s.p99(), 1)});
+    auto row = [&](const char* name,
+                   const metrics::RequestMetrics::LatencyStats& s) {
+        table.addRow({name, Table::fmt(s.p50, 1), Table::fmt(s.p90, 1),
+                      Table::fmt(s.p99, 1)});
     };
-    row("TTFT (ms)", report.requests.ttftMs());
-    row("TBT (ms)", report.requests.tbtMs());
-    row("E2E (ms)", report.requests.e2eMs());
+    row("TTFT (ms)", report.requests.ttftStats());
+    row("TBT (ms)", report.requests.tbtStats());
+    row("E2E (ms)", report.requests.e2eStats());
     table.print();
 
     std::printf("\nPrompt pool processed %lld tokens vs %lld generated -"

@@ -41,8 +41,8 @@ main()
         token_table.addRow({
             Table::fmt(cap * 100, 0) + "%",
             Table::fmt(report.footprint.powerWatts / 1e3, 1),
-            Table::fmt(report.requests.tbtMs().p50(), 1),
-            Table::fmt(report.requests.e2eMs().p50() / 1e3, 2),
+            Table::fmt(report.requests.tbtStats().p50, 1),
+            Table::fmt(report.requests.e2eStats().p50 / 1e3, 2),
         });
     }
     token_table.print();
@@ -60,8 +60,8 @@ main()
         prompt_table.addRow({
             Table::fmt(cap * 100, 0) + "%",
             Table::fmt(report.footprint.powerWatts / 1e3, 1),
-            Table::fmt(report.requests.ttftMs().p50(), 0),
-            Table::fmt(report.requests.e2eMs().p50() / 1e3, 2),
+            Table::fmt(report.requests.ttftStats().p50, 0),
+            Table::fmt(report.requests.e2eStats().p50 / 1e3, 2),
         });
     }
     prompt_table.print();

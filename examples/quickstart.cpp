@@ -42,15 +42,15 @@ main()
     // 4. Report the paper's metrics (Table II).
     const auto& m = report.requests;
     metrics::Table table({"metric", "p50", "p90", "p99", "mean"});
-    auto add = [&](const char* name, const metrics::Summary& s) {
-        table.addRow({name, metrics::Table::fmt(s.p50()),
-                      metrics::Table::fmt(s.p90()),
-                      metrics::Table::fmt(s.p99()),
-                      metrics::Table::fmt(s.mean())});
+    auto add = [&](const char* name,
+                   const metrics::RequestMetrics::LatencyStats& s) {
+        table.addRow({name, metrics::Table::fmt(s.p50),
+                      metrics::Table::fmt(s.p90), metrics::Table::fmt(s.p99),
+                      metrics::Table::fmt(s.mean)});
     };
-    add("TTFT (ms)", m.ttftMs());
-    add("TBT (ms)", m.tbtMs());
-    add("E2E (ms)", m.e2eMs());
+    add("TTFT (ms)", m.ttftStats());
+    add("TBT (ms)", m.tbtStats());
+    add("E2E (ms)", m.e2eStats());
     table.print();
 
     std::printf("\nCompleted %zu/%zu requests, %.1f tokens/s generated\n",

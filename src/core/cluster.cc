@@ -53,7 +53,7 @@ Cluster::Cluster(model::LlmConfig llm, ClusterDesign design, SimConfig config)
                                     engine::LiveRequest* req,
                                     sim::TimeUs prompt_compute) {
         engine_.startTransfer(req, &m, machineById(req->tokenMachine),
-                              prompt_compute, nullptr);
+                              prompt_compute);
     };
     callbacks.onRequestDone = [this](engine::Machine&,
                                      engine::LiveRequest* req) {
@@ -395,6 +395,10 @@ Cluster::failMachine(int machine_id)
     // survivors.
     cls_->markFailed(machine_id);
     machine->fail();
+    // Transfers parked on the dead machine's memory will never land;
+    // for a failed destination this drops its waiting list (the
+    // requests themselves restart below).
+    engine_.onMemoryFreed(machine);
     // The crash wiped the machine's cached prefixes with its KV;
     // drop its directory entries so follow-up session turns miss
     // cleanly instead of routing to an empty cache.

@@ -20,9 +20,9 @@ num(double v)
 
 /**
  * Latency distribution emission goes through the mode-agnostic
- * LatencyStats view: exact runs serialize the same digits as the old
- * Summary-based path (byte-identical reports), sketch runs serialize
- * the sketch estimates with the same schema.
+ * LatencyStats view: exact runs serialize the order statistics of the
+ * per-request records, sketch runs the sketch estimates with the same
+ * schema.
  */
 void
 summaryJson(std::ostringstream& out, const char* name,

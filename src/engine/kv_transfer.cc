@@ -112,8 +112,7 @@ KvTransferEngine::interferenceFor(Machine& src, LiveRequest* request,
 
 void
 KvTransferEngine::startTransfer(LiveRequest* request, Machine* src,
-                                Machine* dst, sim::TimeUs prompt_compute,
-                                DoneCallback done)
+                                Machine* dst, sim::TimeUs prompt_compute)
 {
     if (src == dst)
         sim::panic("KvTransferEngine: src == dst");
@@ -153,18 +152,16 @@ KvTransferEngine::startTransfer(LiveRequest* request, Machine* src,
             spans_->transition(request->spec.id,
                                telemetry::SpanPhase::kKvStall,
                                simulator_.now());
-        port(dst->id()).waiting.push_back({request, src, prompt_compute,
-                                           request->restartEpoch,
-                                           std::move(done)});
+        port(dst->id()).waiting.push_back(
+            {request, src, prompt_compute, request->restartEpoch});
         return;
     }
-    launch(request, src, dst, prompt_compute, std::move(done));
+    launch(request, src, dst, prompt_compute);
 }
 
 void
 KvTransferEngine::launch(LiveRequest* request, Machine* src, Machine* dst,
-                         sim::TimeUs prompt_compute, DoneCallback done,
-                         int attempt)
+                         sim::TimeUs prompt_compute, int attempt)
 {
     // Re-enter the transfer phase: a no-op on the first attempt, and
     // the stall/backoff-to-wire transition on later ones.
@@ -213,8 +210,7 @@ KvTransferEngine::launch(LiveRequest* request, Machine* src, Machine* dst,
     // Fits EventAction's inline buffer (asserted in
     // event_action_test.cc): no allocation per delivery event.
     simulator_.post(end, [this, request, src, dst, epoch, prompt_compute,
-                          attempt, timed_out, succeeds,
-                          done = std::move(done)]() mutable {
+                          attempt, timed_out, succeeds] {
         --inFlight_;
         if (request->restartEpoch != epoch) {
             // A machine failure restarted the request. The failure
@@ -245,7 +241,7 @@ KvTransferEngine::launch(LiveRequest* request, Machine* src, Machine* dst,
                     timed_out ? "kv_timeout" : "kv_fault", simulator_.now(),
                     {{"attempt", attempt}});
             handleAttemptFailure(request, src, dst, prompt_compute,
-                                 std::move(done), attempt);
+                                 attempt);
             return;
         }
         // The prompt machine can drop its copy; the destination
@@ -257,8 +253,6 @@ KvTransferEngine::launch(LiveRequest* request, Machine* src, Machine* dst,
         if (trace_)
             trace_->markPendingFlow(request->spec.id);
         dst->acceptTransferred(request);
-        if (done)
-            done(request);
     });
 }
 
@@ -266,7 +260,7 @@ void
 KvTransferEngine::handleAttemptFailure(LiveRequest* request, Machine* src,
                                        Machine* dst,
                                        sim::TimeUs prompt_compute,
-                                       DoneCallback done, int attempt)
+                                       int attempt)
 {
     if (attempt >= retry_.maxRetries) {
         ++stats_.transferAborts;
@@ -288,8 +282,7 @@ KvTransferEngine::handleAttemptFailure(LiveRequest* request, Machine* src,
                            simulator_.now());
     const std::uint32_t epoch = request->restartEpoch;
     simulator_.postAfter(
-        backoff, [this, request, src, dst, prompt_compute, attempt, epoch,
-                  done = std::move(done)]() mutable {
+        backoff, [this, request, src, dst, prompt_compute, attempt, epoch] {
             // A failure handler restarted the request during the
             // backoff; the new incarnation owns its own transfer.
             if (request->restartEpoch != epoch)
@@ -302,8 +295,7 @@ KvTransferEngine::handleAttemptFailure(LiveRequest* request, Machine* src,
                 abortTransfer(request, src, dst);
                 return;
             }
-            launch(request, src, dst, prompt_compute, std::move(done),
-                   attempt + 1);
+            launch(request, src, dst, prompt_compute, attempt + 1);
         });
 }
 
@@ -352,8 +344,7 @@ KvTransferEngine::onMemoryFreed(Machine* dst)
         if (!dst->reserveKv(pending.request,
                             pending.request->contextTokens() + 1))
             break;
-        launch(pending.request, pending.src, dst, pending.promptCompute,
-               std::move(pending.done));
+        launch(pending.request, pending.src, dst, pending.promptCompute);
     }
     queue.erase(queue.begin(),
                 queue.begin() + static_cast<std::ptrdiff_t>(head));

@@ -76,7 +76,6 @@ class KvTransferEngine {
         std::uint64_t degradedTransfers = 0;
     };
 
-    using DoneCallback = std::function<void(LiveRequest*)>;
     /** Invoked when a transfer exhausts its retry budget. */
     using AbortCallback = std::function<void(LiveRequest*)>;
 
@@ -123,11 +122,9 @@ class KvTransferEngine {
      *
      * @param prompt_compute Duration of the prompt iteration the
      *     transfer overlapped with.
-     * @param done Invoked after the destination accepted the
-     *     request (may be null).
      */
     void startTransfer(LiveRequest* request, Machine* src, Machine* dst,
-                       sim::TimeUs prompt_compute, DoneCallback done);
+                       sim::TimeUs prompt_compute);
 
     /**
      * TTFT interference a layer-wise transfer inflicts on the prompt
@@ -159,7 +156,6 @@ class KvTransferEngine {
         Machine* src = nullptr;
         sim::TimeUs promptCompute = 0;
         std::uint32_t epoch = 0;
-        DoneCallback done;
     };
 
     /** A scheduled NIC fault or degradation window. */
@@ -191,8 +187,7 @@ class KvTransferEngine {
     /** Launch attempt @p attempt of a transfer whose destination
      *  memory is reserved. */
     void launch(LiveRequest* request, Machine* src, Machine* dst,
-                sim::TimeUs prompt_compute, DoneCallback done,
-                int attempt = 0);
+                sim::TimeUs prompt_compute, int attempt = 0);
 
     /** Slowest degraded-bandwidth factor covering @p at on either
      *  endpoint; 1.0 when undegraded. */
@@ -207,7 +202,7 @@ class KvTransferEngine {
     /** A failed attempt: retry after backoff or abort. */
     void handleAttemptFailure(LiveRequest* request, Machine* src,
                               Machine* dst, sim::TimeUs prompt_compute,
-                              DoneCallback done, int attempt);
+                              int attempt);
 
     /** Give up on the transfer: release both ends, tell the owner. */
     void abortTransfer(LiveRequest* request, Machine* src, Machine* dst);

@@ -47,6 +47,16 @@ Machine::Machine(sim::Simulator& simulator, int id, hw::MachineSpec spec,
     if (!memory.weightsFit())
         sim::fatal("Machine " + spec_.name + ": model weights do not fit");
     stats_.activeTokens.start(simulator_.now(), 0);
+    // A preempted resident's KV is dropped and it recomputes its
+    // context here, so this machine becomes its prompt machine (a
+    // crash here must restart it) and its attribution returns to the
+    // queue phase.
+    mls_.setPreemptHook([this](LiveRequest* victim) {
+        victim->promptMachine = id_;
+        if (spans_)
+            spans_->transition(victim->spec.id, telemetry::SpanPhase::kQueue,
+                               simulator_.now());
+    });
 }
 
 void
@@ -150,22 +160,6 @@ Machine::maxBatchWithinTbt(double tbt_ms) const
     cachedTbtBoundMs_ = tbt_ms;
     cachedMaxBatch_ = lo;
     return lo;
-}
-
-void
-Machine::setSpans(telemetry::SpanTracker* spans)
-{
-    spans_ = spans;
-    // A preempted resident's KV is dropped and it recomputes from the
-    // queue, so its attribution returns to the queue phase.
-    if (spans) {
-        mls_.setPreemptHook([this](LiveRequest* victim) {
-            spans_->transition(victim->spec.id, telemetry::SpanPhase::kQueue,
-                               simulator_.now());
-        });
-    } else {
-        mls_.setPreemptHook(nullptr);
-    }
 }
 
 void

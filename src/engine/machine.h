@@ -216,7 +216,7 @@ class Machine {
      * for every request this machine touches, including preemption
      * re-queues. nullptr detaches.
      */
-    void setSpans(telemetry::SpanTracker* spans);
+    void setSpans(telemetry::SpanTracker* spans) { spans_ = spans; }
 
     /**
      * Attach a per-token hook, fired after every recordToken() —

@@ -175,8 +175,9 @@ class Mls {
 
     /**
      * Observer called when a resident is preempted back into the
-     * prompt queue (telemetry attribution hook; the Machine installs
-     * it so preempted decode time re-enters the queue phase).
+     * prompt queue. The Machine installs it to make itself the
+     * victim's prompt machine and to return preempted decode time to
+     * the queue phase.
      */
     void
     setPreemptHook(std::function<void(LiveRequest*)> hook)

@@ -28,11 +28,6 @@ RequestMetrics::add(const RequestResult& result)
         e2eSketch_.add(result.e2eMs);
     } else {
         results_.push_back(result);
-        ttft_.add(result.ttftMs);
-        if (result.outputTokens > 1)
-            tbt_.add(result.tbtMs);
-        maxTbt_.add(result.maxTbtMs);
-        e2e_.add(result.e2eMs);
     }
     totalOutput_ += result.outputTokens;
     totalPrompt_ += result.promptTokens;
@@ -56,27 +51,42 @@ RequestMetrics::statsOf(const QuantileSketch& sketch)
 }
 
 RequestMetrics::LatencyStats
+RequestMetrics::exactStats(double RequestResult::*field,
+                           bool multi_token_only) const
+{
+    Summary summary;
+    for (const RequestResult& r : results_) {
+        if (!multi_token_only || r.outputTokens > 1)
+            summary.add(r.*field);
+    }
+    return statsOf(summary);
+}
+
+RequestMetrics::LatencyStats
 RequestMetrics::ttftStats() const
 {
-    return sketch_ ? statsOf(ttftSketch_) : statsOf(ttft_);
+    return sketch_ ? statsOf(ttftSketch_) : exactStats(&RequestResult::ttftMs);
 }
 
 RequestMetrics::LatencyStats
 RequestMetrics::tbtStats() const
 {
-    return sketch_ ? statsOf(tbtSketch_) : statsOf(tbt_);
+    return sketch_ ? statsOf(tbtSketch_)
+                   : exactStats(&RequestResult::tbtMs,
+                                /*multi_token_only=*/true);
 }
 
 RequestMetrics::LatencyStats
 RequestMetrics::maxTbtStats() const
 {
-    return sketch_ ? statsOf(maxTbtSketch_) : statsOf(maxTbt_);
+    return sketch_ ? statsOf(maxTbtSketch_)
+                   : exactStats(&RequestResult::maxTbtMs);
 }
 
 RequestMetrics::LatencyStats
 RequestMetrics::e2eStats() const
 {
-    return sketch_ ? statsOf(e2eSketch_) : statsOf(e2e_);
+    return sketch_ ? statsOf(e2eSketch_) : exactStats(&RequestResult::e2eMs);
 }
 
 double

@@ -39,10 +39,11 @@ struct RequestResult {
  * paper's SLOs and plots are defined over.
  *
  * Two storage modes:
- *  - exact (default): every RequestResult is retained and the four
- *    latency distributions are exact Summary objects — O(requests)
- *    memory, required by anything that walks results() (per-request
- *    SLO evaluation, the SloMonitor window cursor).
+ *  - exact (default): every RequestResult is retained, and that
+ *    record is each latency sample's only copy; the *Stats() views
+ *    build the four distributions from results() on demand —
+ *    O(requests) memory, required by anything that walks results()
+ *    (per-request SLO evaluation, the SloMonitor window cursor).
  *  - sketch (setSketchMode(true)): per-request results are folded
  *    into QuantileSketch instances and dropped — O(buckets) memory,
  *    for 10^6+-request runs. results() stays empty and percentiles
@@ -52,8 +53,8 @@ class RequestMetrics {
   public:
     /**
      * Backend-independent view of one latency distribution — the
-     * fields reportToJson emits. Exact mode fills it from Summary,
-     * sketch mode from QuantileSketch.
+     * fields reportToJson emits. Exact mode fills it from a Summary
+     * of the records, sketch mode from QuantileSketch.
      */
     struct LatencyStats {
         std::size_t count = 0;
@@ -86,22 +87,10 @@ class RequestMetrics {
     /** Number of completed requests (tracked in both modes). */
     std::size_t completed() const { return completed_; }
 
-    /** TTFT distribution (ms). Empty in sketch mode; use ttftStats(). */
-    const Summary& ttftMs() const { return ttft_; }
-
-    /** Per-request mean TBT distribution (ms). Empty in sketch mode. */
-    const Summary& tbtMs() const { return tbt_; }
-
-    /** Per-request max TBT distribution (ms). Empty in sketch mode. */
-    const Summary& maxTbtMs() const { return maxTbt_; }
-
-    /** E2E latency distribution (ms). Empty in sketch mode. */
-    const Summary& e2eMs() const { return e2e_; }
-
     /** TTFT stats from whichever backend is active. */
     LatencyStats ttftStats() const;
 
-    /** Mean-TBT stats from whichever backend is active. */
+    /** Mean-TBT stats (ms); single-token requests have no TBT. */
     LatencyStats tbtStats() const;
 
     /** Max-TBT stats from whichever backend is active. */
@@ -136,13 +125,14 @@ class RequestMetrics {
     static LatencyStats statsOf(const Summary& summary);
     static LatencyStats statsOf(const QuantileSketch& sketch);
 
+    /** Exact stats of one latency field over results_, optionally
+     *  only over requests with more than one output token. */
+    LatencyStats exactStats(double RequestResult::*field,
+                            bool multi_token_only = false) const;
+
     bool sketch_ = false;
     std::size_t completed_ = 0;
     std::vector<RequestResult> results_;
-    Summary ttft_;
-    Summary tbt_;
-    Summary maxTbt_;
-    Summary e2e_;
     QuantileSketch ttftSketch_;
     QuantileSketch tbtSketch_;
     QuantileSketch maxTbtSketch_;

@@ -33,7 +33,7 @@ Summary::min() const
     if (samples_.empty())
         return 0.0;
     ensureSorted();
-    return sorted_.front();
+    return samples_.front();
 }
 
 double
@@ -42,7 +42,7 @@ Summary::max() const
     if (samples_.empty())
         return 0.0;
     ensureSorted();
-    return sorted_.back();
+    return samples_.back();
 }
 
 double
@@ -56,11 +56,12 @@ Summary::percentile(double p) const
         return p;
     ensureSorted();
     const double clamped = std::clamp(p, 0.0, 100.0);
-    const double rank = clamped / 100.0 * static_cast<double>(sorted_.size() - 1);
+    const double rank =
+        clamped / 100.0 * static_cast<double>(samples_.size() - 1);
     const auto lo = static_cast<std::size_t>(std::floor(rank));
     const auto hi = static_cast<std::size_t>(std::ceil(rank));
     const double frac = rank - static_cast<double>(lo);
-    return sorted_[lo] + (sorted_[hi] - sorted_[lo]) * frac;
+    return samples_[lo] + (samples_[hi] - samples_[lo]) * frac;
 }
 
 std::vector<Summary::Bucket>
@@ -76,8 +77,8 @@ Summary::histogram(std::size_t bucket_count) const
     // histogram covers the finite samples only - same spirit as the
     // percentile() NaN guard.
     std::vector<double> finite;
-    finite.reserve(sorted_.size());
-    for (double v : sorted_) {
+    finite.reserve(samples_.size());
+    for (double v : samples_) {
         if (std::isfinite(v))
             finite.push_back(v);
     }
@@ -107,7 +108,6 @@ void
 Summary::clear()
 {
     samples_.clear();
-    sorted_.clear();
     sortedValid_ = false;
     sum_ = 0.0;
 }
@@ -117,8 +117,7 @@ Summary::ensureSorted() const
 {
     if (sortedValid_)
         return;
-    sorted_ = samples_;
-    std::sort(sorted_.begin(), sorted_.end());
+    std::sort(samples_.begin(), samples_.end());
     sortedValid_ = true;
 }
 

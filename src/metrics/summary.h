@@ -9,10 +9,11 @@ namespace splitwise::metrics {
 /**
  * Accumulates scalar samples and answers order statistics.
  *
- * Samples are stored exactly; percentile queries sort lazily (the
- * sort result is cached until the next insertion). This favours
- * fidelity over memory, which is appropriate at the request counts
- * simulated here (tens of thousands).
+ * Samples are stored exactly, once; an order-statistic query sorts
+ * them in place, and the order holds until the next insertion. The
+ * sum accumulates at add() time, so the reordering changes no
+ * answer. This favours fidelity over memory, which is appropriate at
+ * the request counts simulated here (tens of thousands).
  */
 class Summary {
   public:
@@ -79,8 +80,8 @@ class Summary {
   private:
     void ensureSorted() const;
 
-    std::vector<double> samples_;
-    mutable std::vector<double> sorted_;
+    /** Sorted in place by queries; insertion order is not kept. */
+    mutable std::vector<double> samples_;
     mutable bool sortedValid_ = false;
     double sum_ = 0.0;
 };

@@ -183,17 +183,13 @@ SpanTracker::complete(std::uint64_t request_id, sim::TimeUs now,
         }
     }
 
-    if (config_.flightRecorderCapacity > 0) {
-        if (ring_.size() < config_.flightRecorderCapacity) {
-            ring_.push_back(slot.timeline);
-        } else {
-            // Copy-assign reuses the evicted entry's segment storage.
-            ring_[ringNext_] = slot.timeline;
-        }
-        ringNext_ = (ringNext_ + 1) % config_.flightRecorderCapacity;
-        ringCount_ = std::min(ringCount_ + 1,
-                              config_.flightRecorderCapacity);
+    if (ring_.size() < kFlightRecorderCapacity) {
+        ring_.push_back(slot.timeline);
+    } else {
+        // Copy-assign reuses the evicted entry's segment storage.
+        ring_[ringNext_] = slot.timeline;
     }
+    ringNext_ = (ringNext_ + 1) % kFlightRecorderCapacity;
 
     live_.erase(it);
     freeSlots_.push_back(idx);
@@ -363,12 +359,10 @@ SpanTracker::flightRecorderJson() const
 {
     std::string out;
     out += "{\"recent\":[";
-    // Oldest first: the ring's logical order starts at ringNext_ once
-    // it has wrapped.
-    const std::size_t cap = config_.flightRecorderCapacity;
-    for (std::size_t i = 0; i < ringCount_; ++i) {
-        const std::size_t idx =
-            ringCount_ < cap ? i : (ringNext_ + i) % cap;
+    // Oldest first: the ring's logical order starts at ringNext_,
+    // which equals ring_.size() until the ring fills.
+    for (std::size_t i = 0; i < ring_.size(); ++i) {
+        const std::size_t idx = (ringNext_ + i) % ring_.size();
         if (i)
             out += ',';
         appendTimelineJson(out, ring_[idx]);

@@ -107,8 +107,6 @@ struct SpanExemplar {
 struct SpanTrackerConfig {
     /** Worst-offender timelines retained (0 disables exemplars). */
     int exemplarK = 0;
-    /** Flight-recorder ring size (most recent completed timelines). */
-    std::size_t flightRecorderCapacity = 256;
 };
 
 /**
@@ -123,12 +121,16 @@ struct SpanTrackerConfig {
  * capacity), so steady-state tracking does no per-transition heap
  * allocation once warm.
  *
- * Memory is O(live requests + flight ring + K exemplars), never
- * O(completed requests): completed timelines are folded into
- * per-phase Summary aggregates and recycled.
+ * Completed timelines are folded into per-phase Summary aggregates
+ * and recycled. Timeline memory is O(live requests + flight ring + K
+ * exemplars); the aggregates keep one sample per completed request
+ * per phase it visited, so they grow O(completed requests).
  */
 class SpanTracker {
   public:
+    /** Flight-recorder ring size (most recent completed timelines). */
+    static constexpr std::size_t kFlightRecorderCapacity = 256;
+
     explicit SpanTracker(SpanTrackerConfig config = {});
 
     /**
@@ -241,7 +243,6 @@ class SpanTracker {
     /** Fixed-capacity ring of recent completed timelines. */
     std::vector<SpanTimeline> ring_;
     std::size_t ringNext_ = 0;
-    std::size_t ringCount_ = 0;
 };
 
 }  // namespace splitwise::telemetry

@@ -153,31 +153,37 @@ TEST(SpanTrackerTest, ExemplarsKeepWorstKSortedDescending)
 
 TEST(SpanTrackerTest, FlightRecorderKeepsMostRecentOldestFirst)
 {
-    SpanTrackerConfig config;
-    config.flightRecorderCapacity = 2;
-    SpanTracker t(config);
-    for (std::uint64_t id = 1; id <= 3; ++id) {
+    // Two completions past the ring's capacity evict the two oldest.
+    constexpr std::uint64_t kCompleted =
+        SpanTracker::kFlightRecorderCapacity + 2;
+    SpanTracker t;
+    for (std::uint64_t id = 1; id <= kCompleted; ++id) {
         t.transition(id, SpanPhase::kQueue,
                      static_cast<sim::TimeUs>(id * 10));
         t.complete(id, static_cast<sim::TimeUs>(id * 10 + 5), 1.0);
     }
-    t.transition(42, SpanPhase::kPrefill, 100);  // still live
+    t.transition(1000, SpanPhase::kPrefill, 5000);  // still live
 
     const std::string json = t.flightRecorderJson();
-    // Request 1 was evicted; 2 precedes 3 (oldest first); the live
-    // request appears in the "live" section with an open segment.
+    // Requests 1 and 2 were evicted; the oldest survivor, 3, opens
+    // the recent section and precedes 4 and 258 (oldest first); the
+    // live request appears in the "live" section with an open
+    // segment.
     EXPECT_EQ(json.find("\"request\":1,"), std::string::npos);
-    const auto at2 = json.find("\"request\":2");
-    const auto at3 = json.find("\"request\":3");
-    ASSERT_NE(at2, std::string::npos);
-    ASSERT_NE(at3, std::string::npos);
-    EXPECT_LT(at2, at3);
+    EXPECT_EQ(json.find("\"request\":2,"), std::string::npos);
+    EXPECT_EQ(json.find("{\"recent\":[{\"request\":3,"), 0u);
+    const auto at4 = json.find("\"request\":4,");
+    const auto at258 = json.find("\"request\":258,");
+    ASSERT_NE(at4, std::string::npos);
+    ASSERT_NE(at258, std::string::npos);
+    EXPECT_LT(at4, at258);
     const auto live = json.find("\"live\":[");
     ASSERT_NE(live, std::string::npos);
-    const auto at42 = json.find("\"request\":42");
-    ASSERT_NE(at42, std::string::npos);
-    EXPECT_GT(at42, live);
-    EXPECT_NE(json.find("\"end_us\":-1", at42), std::string::npos);
+    EXPECT_GT(live, at258);
+    const auto at1000 = json.find("\"request\":1000");
+    ASSERT_NE(at1000, std::string::npos);
+    EXPECT_GT(at1000, live);
+    EXPECT_NE(json.find("\"end_us\":-1", at1000), std::string::npos);
 }
 
 TEST(SpanTrackerTest, AttributionJsonCarriesPhasesAndExemplars)

@@ -178,7 +178,7 @@ TEST(ClsTest, RandomRoutingWorksButSpreadsWorse)
     const RunReport b = random.run(trace);
     EXPECT_EQ(a.requests.completed(), 40u);
     EXPECT_EQ(b.requests.completed(), 40u);
-    EXPECT_LE(a.requests.ttftMs().p90(), b.requests.ttftMs().p90() * 1.05);
+    EXPECT_LE(a.requests.ttftStats().p90, b.requests.ttftStats().p90 * 1.05);
 }
 
 TEST(ClsTest, RandomRoutingDeterministicPerSeed)
@@ -193,7 +193,7 @@ TEST(ClsTest, RandomRoutingDeterministicPerSeed)
     };
     const RunReport a = run_once();
     const RunReport b = run_once();
-    EXPECT_DOUBLE_EQ(a.requests.e2eMs().mean(), b.requests.e2eMs().mean());
+    EXPECT_DOUBLE_EQ(a.requests.e2eStats().mean, b.requests.e2eStats().mean);
 }
 
 TEST(ClsTest, RetireRestoreRoundTripKeepsCounters)

@@ -80,8 +80,8 @@ TEST(ClusterTest, DeterministicAcrossRuns)
     const RunReport a = run_once();
     const RunReport b = run_once();
     ASSERT_EQ(a.requests.completed(), b.requests.completed());
-    EXPECT_DOUBLE_EQ(a.requests.e2eMs().mean(), b.requests.e2eMs().mean());
-    EXPECT_DOUBLE_EQ(a.requests.ttftMs().p99(), b.requests.ttftMs().p99());
+    EXPECT_DOUBLE_EQ(a.requests.e2eStats().mean, b.requests.e2eStats().mean);
+    EXPECT_DOUBLE_EQ(a.requests.ttftStats().p99, b.requests.ttftStats().p99);
     EXPECT_EQ(a.simulatedUs, b.simulatedUs);
 }
 
@@ -91,10 +91,10 @@ TEST(ClusterTest, LatenciesAreReasonable)
     Cluster cluster(model::llama2_70b(), splitwiseHH(2, 1));
     const RunReport report = cluster.run(trace);
     // Near-idle H100s: TTFT close to the pure prompt latency.
-    EXPECT_GT(report.requests.ttftMs().p50(), 30.0);
-    EXPECT_LT(report.requests.ttftMs().p50(), 300.0);
-    EXPECT_GT(report.requests.tbtMs().p50(), 20.0);
-    EXPECT_LT(report.requests.tbtMs().p50(), 80.0);
+    EXPECT_GT(report.requests.ttftStats().p50, 30.0);
+    EXPECT_LT(report.requests.ttftStats().p50, 300.0);
+    EXPECT_GT(report.requests.tbtStats().p50, 20.0);
+    EXPECT_LT(report.requests.tbtStats().p50, 80.0);
 }
 
 TEST(ClusterTest, RunIsOneShot)
@@ -127,8 +127,8 @@ TEST(ClusterTest, PiecewisePerfModelCloseToAnalytical)
     piecewise.usePiecewisePerfModel = true;
     Cluster a(model::llama2_70b(), splitwiseHH(2, 2));
     Cluster b(model::llama2_70b(), splitwiseHH(2, 2), piecewise);
-    const double e2e_a = a.run(trace).requests.e2eMs().mean();
-    const double e2e_b = b.run(trace).requests.e2eMs().mean();
+    const double e2e_a = a.run(trace).requests.e2eStats().mean;
+    const double e2e_b = b.run(trace).requests.e2eStats().mean;
     EXPECT_NEAR(e2e_b / e2e_a, 1.0, 0.05);
 }
 
@@ -141,8 +141,8 @@ TEST(ClusterTest, BloomAlsoRuns)
     // BLOOM is slower than Llama end to end (Table III/IV).
     Cluster llama(model::llama2_70b(), splitwiseHH(2, 2));
     const RunReport llama_report = llama.run(trace);
-    EXPECT_GT(report.requests.e2eMs().p50(),
-              1.1 * llama_report.requests.e2eMs().p50());
+    EXPECT_GT(report.requests.e2eStats().p50,
+              1.1 * llama_report.requests.e2eStats().p50);
 }
 
 TEST(ClusterTest, PoolReportsCoverAllMachines)

@@ -31,10 +31,7 @@ class KvTransferTest : public ::testing::Test {
         };
         cb.onPromptDone = [this](Machine& m, LiveRequest* req,
                                  sim::TimeUs compute) {
-            engine_.startTransfer(req, &m, machines_[1].get(), compute,
-                                  [this](LiveRequest* r) {
-                                      transferred_.push_back(r);
-                                  });
+            engine_.startTransfer(req, &m, machines_[1].get(), compute);
         };
         cb.onMemoryFreed = [this](Machine& m) { engine_.onMemoryFreed(&m); };
         for (int i = 0; i < 2; ++i) {
@@ -54,6 +51,21 @@ class KvTransferTest : public ::testing::Test {
         return requests_.back().get();
     }
 
+    /**
+     * Set delivered_ once @p req shows up in the token machine's
+     * decode set, i.e. once its transfer delivered it (probed every
+     * 100 us).
+     */
+    void
+    watchDelivery(LiveRequest* req)
+    {
+        for (sim::TimeUs t = 0; t < sim::secondsToUs(2.0); t += 100) {
+            sim_.post(t, [this, req] {
+                delivered_ = delivered_ || machines_[1]->mls().resident(req);
+            });
+        }
+    }
+
     sim::Simulator sim_;
     model::AnalyticalPerfModel perf_;
     model::MemoryModel memory_;
@@ -61,17 +73,18 @@ class KvTransferTest : public ::testing::Test {
     KvTransferEngine engine_;
     std::vector<std::unique_ptr<LiveRequest>> requests_;
     std::vector<LiveRequest*> done_;
-    std::vector<LiveRequest*> transferred_;
+    bool delivered_ = false;
     std::uint64_t nextId_ = 0;
 };
 
 TEST_F(KvTransferTest, RequestSplitsAcrossMachines)
 {
     LiveRequest* req = makeRequest(1000, 5);
+    watchDelivery(req);
     machines_[0]->submitPrompt(req);
     sim_.run();
     ASSERT_EQ(done_.size(), 1u);
-    ASSERT_EQ(transferred_.size(), 1u);
+    ASSERT_TRUE(delivered_);
     EXPECT_TRUE(req->finished());
     // Prompt ran on 0, decode on 1.
     EXPECT_EQ(machines_[0]->stats().promptTokensProcessed, 1000);
@@ -337,13 +350,14 @@ TEST_F(KvTransferTest, SrcDiesMidFlightReleasesDstReservation)
     // enough for the probe grid to catch the request in flight.
     LiveRequest* req = makeRequest(128, 4);
     failDuringTransfer(sim_, req, machines_[0].get());
+    watchDelivery(req);
 
     machines_[0]->submitPrompt(req);
     sim_.run();
 
     ASSERT_TRUE(machines_[0]->failed());
     EXPECT_FALSE(req->finished());
-    EXPECT_TRUE(transferred_.empty());
+    EXPECT_FALSE(delivered_);
     // The destination's reserved-but-unfilled blocks were released:
     // nothing leaks even with no cluster-level failure handler.
     EXPECT_EQ(machines_[1]->mls().blocks().usedTokens(), 0);
@@ -354,13 +368,14 @@ TEST_F(KvTransferTest, DstDiesMidFlightReleasesSrcCopy)
 {
     LiveRequest* req = makeRequest(128, 4);
     failDuringTransfer(sim_, req, machines_[1].get());
+    watchDelivery(req);
 
     machines_[0]->submitPrompt(req);
     sim_.run();
 
     ASSERT_TRUE(machines_[1]->failed());
     EXPECT_FALSE(req->finished());
-    EXPECT_TRUE(transferred_.empty());
+    EXPECT_FALSE(delivered_);
     // The source dropped its copy; the dead destination's pool was
     // cleared by fail(). No block is held anywhere for the request.
     EXPECT_EQ(machines_[0]->mls().blocks().usedTokens(), 0);

@@ -275,10 +275,10 @@ TEST(ChaosTest, DeterministicUnderFaultStorm)
     EXPECT_EQ(a.transfers.degradedTransfers, b.transfers.degradedTransfers);
     EXPECT_EQ(a.transfers.bytesMoved, b.transfers.bytesMoved);
     // Bit-identical latencies, not merely close.
-    EXPECT_EQ(a.requests.e2eMs().mean(), b.requests.e2eMs().mean());
-    EXPECT_EQ(a.requests.e2eMs().p99(), b.requests.e2eMs().p99());
-    EXPECT_EQ(a.requests.ttftMs().mean(), b.requests.ttftMs().mean());
-    EXPECT_EQ(a.requests.tbtMs().mean(), b.requests.tbtMs().mean());
+    EXPECT_EQ(a.requests.e2eStats().mean, b.requests.e2eStats().mean);
+    EXPECT_EQ(a.requests.e2eStats().p99, b.requests.e2eStats().p99);
+    EXPECT_EQ(a.requests.ttftStats().mean, b.requests.ttftStats().mean);
+    EXPECT_EQ(a.requests.tbtStats().mean, b.requests.tbtStats().mean);
     // And identical serialized reports.
     EXPECT_EQ(core::reportToJson(a), core::reportToJson(b));
 }

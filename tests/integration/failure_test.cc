@@ -68,7 +68,7 @@ TEST(FailureTest, RestartPenaltyShowsInLatency)
     const RunReport ok = healthy.run(trace);
     const RunReport hit = faulty.run(trace);
     // Restarted requests pay their lost work in E2E tail latency.
-    EXPECT_GT(hit.requests.e2eMs().p99(), ok.requests.e2eMs().p99());
+    EXPECT_GT(hit.requests.e2eStats().p99, ok.requests.e2eStats().p99);
     EXPECT_GT(hit.restarts, 0u);
 }
 
@@ -145,8 +145,8 @@ TEST(FailureTest, CheckpointingSkipsPromptRecompute)
     // Recovered decodes keep their history: fewer full restarts and
     // a gentler tail than recomputing everything.
     EXPECT_LT(restored.restarts, lost.restarts);
-    EXPECT_LE(restored.requests.e2eMs().p99(),
-              lost.requests.e2eMs().p99());
+    EXPECT_LE(restored.requests.e2eStats().p99,
+              lost.requests.e2eStats().p99);
 }
 
 TEST(FailureTest, CheckpointRestoreKeepsTokenConservation)
@@ -174,7 +174,7 @@ TEST(FailureTest, DeterministicUnderFailures)
     };
     const RunReport a = run_once();
     const RunReport b = run_once();
-    EXPECT_DOUBLE_EQ(a.requests.e2eMs().mean(), b.requests.e2eMs().mean());
+    EXPECT_DOUBLE_EQ(a.requests.e2eStats().mean, b.requests.e2eStats().mean);
     EXPECT_EQ(a.restarts, b.restarts);
 }
 

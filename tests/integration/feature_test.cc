@@ -83,11 +83,11 @@ TEST(ChunkedPrefillCluster, ShrinksWorstGapAtTtftCost)
     const RunReport chunk_report = b.run(trace);
 
     // Bounded prompt slices cap the decode stall...
-    EXPECT_LT(chunk_report.requests.maxTbtMs().p90(),
-              0.7 * whole_report.requests.maxTbtMs().p90());
+    EXPECT_LT(chunk_report.requests.maxTbtStats().p90,
+              0.7 * whole_report.requests.maxTbtStats().p90);
     // ...at the price of slower first tokens.
-    EXPECT_GT(chunk_report.requests.ttftMs().p50(),
-              whole_report.requests.ttftMs().p50());
+    EXPECT_GT(chunk_report.requests.ttftStats().p50,
+              whole_report.requests.ttftStats().p50);
     EXPECT_EQ(chunk_report.requests.completed(), trace.size());
 }
 

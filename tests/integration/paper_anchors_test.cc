@@ -38,8 +38,8 @@ TEST_F(PaperAnchors, BaselinesBlowTbtTailsAtLoad)
     // Splitwise's phase-separated decodes.
     const RunReport baseline = run(core::baselineH100(40), 100.0);
     const RunReport split = run(core::splitwiseHH(17, 23), 100.0);
-    EXPECT_GT(baseline.requests.maxTbtMs().p90(),
-              5.0 * split.requests.maxTbtMs().p90());
+    EXPECT_GT(baseline.requests.maxTbtStats().p90,
+              5.0 * split.requests.maxTbtStats().p90);
 }
 
 TEST_F(PaperAnchors, SplitwiseTtftBeatsBaselineAtLoad)
@@ -48,8 +48,8 @@ TEST_F(PaperAnchors, SplitwiseTtftBeatsBaselineAtLoad)
     // with no decode interference.
     const RunReport baseline = run(core::baselineH100(40), 100.0);
     const RunReport split = run(core::splitwiseHH(17, 23), 100.0);
-    EXPECT_LT(split.requests.ttftMs().p50(),
-              baseline.requests.ttftMs().p50());
+    EXPECT_LT(split.requests.ttftStats().p50,
+              baseline.requests.ttftStats().p50);
 }
 
 TEST_F(PaperAnchors, HHcapMatchesHHLatencyAtLowerPower)
@@ -58,7 +58,7 @@ TEST_F(PaperAnchors, HHcapMatchesHHLatencyAtLowerPower)
     const RunReport hh = run(core::splitwiseHH(17, 23), 70.0);
     const RunReport cap = run(core::splitwiseHHcap(17, 23), 70.0);
     EXPECT_LT(cap.footprint.powerWatts, 0.85 * hh.footprint.powerWatts);
-    EXPECT_NEAR(cap.requests.e2eMs().p50() / hh.requests.e2eMs().p50(),
+    EXPECT_NEAR(cap.requests.e2eStats().p50 / hh.requests.e2eStats().p50,
                 1.0, 0.05);
 }
 
@@ -68,8 +68,8 @@ TEST_F(PaperAnchors, AaTtftHigherButServiceable)
     // (A100 prompt machines) yet meets the looser TTFT SLO.
     const RunReport aa = run(core::splitwiseAA(35, 35), 70.0);
     const RunReport hh = run(core::splitwiseHH(17, 23), 70.0);
-    EXPECT_GT(aa.requests.ttftMs().p50(),
-              1.4 * hh.requests.ttftMs().p50());
+    EXPECT_GT(aa.requests.ttftStats().p50,
+              1.4 * hh.requests.ttftStats().p50);
     const core::SloChecker checker(model::llama2_70b());
     EXPECT_TRUE(checker.evaluate(aa.requests, core::SloSet{}).pass);
 }
@@ -80,8 +80,8 @@ TEST_F(PaperAnchors, HaBridgesTtftAndCost)
     // token pool.
     const RunReport ha = run(core::splitwiseHA(19, 36), 70.0);
     const RunReport hh = run(core::splitwiseHH(17, 23), 70.0);
-    EXPECT_LT(ha.requests.ttftMs().p50(),
-              1.25 * hh.requests.ttftMs().p50());
+    EXPECT_LT(ha.requests.ttftStats().p50,
+              1.25 * hh.requests.ttftStats().p50);
     EXPECT_LT(ha.footprint.costPerHour / ha.footprint.machines,
               hh.footprint.costPerHour / hh.footprint.machines);
 }

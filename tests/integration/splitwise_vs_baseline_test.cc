@@ -42,8 +42,8 @@ TEST_F(SplitwiseVsBaseline, IsoCountTailTbtImproves)
     const auto t = trace(workload::conversation(), 14.0, 40);
     const RunReport base = run(core::baselineH100(6), t);
     const RunReport split = run(core::splitwiseHH(3, 3), t);
-    EXPECT_LT(split.requests.maxTbtMs().p90(),
-              base.requests.maxTbtMs().p90());
+    EXPECT_LT(split.requests.maxTbtStats().p90,
+              base.requests.maxTbtStats().p90);
 }
 
 TEST_F(SplitwiseVsBaseline, TokenMachinesBatchBetter)
@@ -101,8 +101,8 @@ TEST_F(SplitwiseVsBaseline, TransferOverheadBarelyVisibleEndToEnd)
     // Single-machine reference: same hardware, no transfer at all.
     const RunReport local = run(core::baselineH100(2), t);
     const RunReport split = run(core::splitwiseHH(1, 1), t);
-    const double overhead = split.requests.e2eMs().mean() /
-                                local.requests.e2eMs().mean() -
+    const double overhead = split.requests.e2eStats().mean /
+                                local.requests.e2eStats().mean -
                             1.0;
     EXPECT_LT(overhead, 0.03);
 }
@@ -139,12 +139,12 @@ TEST_F(SplitwiseVsBaseline, HaTokenPoolIsCheaperPerThroughput)
     EXPECT_LT(ha.footprint.costPerHour, hh.footprint.costPerHour);
     // TBT worsens by no more than the A100/H100 decode gap plus the
     // extra batching the slower machines accumulate.
-    EXPECT_LT(ha.requests.tbtMs().p50(),
-              1.8 * hh.requests.tbtMs().p50());
+    EXPECT_LT(ha.requests.tbtStats().p50,
+              1.8 * hh.requests.tbtStats().p50);
     // TTFT stays H100-class (prompts still run on H100s), modulo
     // occasional decode spillover into the prompt pool.
-    EXPECT_LT(ha.requests.ttftMs().p50(),
-              1.35 * hh.requests.ttftMs().p50());
+    EXPECT_LT(ha.requests.ttftStats().p50,
+              1.35 * hh.requests.ttftStats().p50);
 }
 
 TEST_F(SplitwiseVsBaseline, HHcapSavesPowerWithoutLatencyLoss)
@@ -155,9 +155,9 @@ TEST_F(SplitwiseVsBaseline, HHcapSavesPowerWithoutLatencyLoss)
     const RunReport hh = run(core::splitwiseHH(2, 2), t);
     const RunReport cap = run(core::splitwiseHHcap(2, 2), t);
     EXPECT_LT(cap.footprint.powerWatts, hh.footprint.powerWatts);
-    EXPECT_NEAR(cap.requests.tbtMs().p50() / hh.requests.tbtMs().p50(),
+    EXPECT_NEAR(cap.requests.tbtStats().p50 / hh.requests.tbtStats().p50,
                 1.0, 0.05);
-    EXPECT_NEAR(cap.requests.e2eMs().p50() / hh.requests.e2eMs().p50(),
+    EXPECT_NEAR(cap.requests.e2eStats().p50 / hh.requests.e2eStats().p50,
                 1.0, 0.10);
 }
 

@@ -157,10 +157,10 @@ TEST(StressTest, BatchingPoliciesOrderTailTbtAsInFig2)
         run_policy(engine::BatchPolicy::kRequestLevel);
     const RunReport continuous = run_policy(engine::BatchPolicy::kContinuous);
     const RunReport mixed = run_policy(engine::BatchPolicy::kMixed);
-    EXPECT_GT(request_level.requests.ttftMs().p90(),
-              mixed.requests.ttftMs().p90());
-    EXPECT_GE(continuous.requests.maxTbtMs().p90(),
-              mixed.requests.maxTbtMs().p90());
+    EXPECT_GT(request_level.requests.ttftStats().p90,
+              mixed.requests.ttftStats().p90);
+    EXPECT_GE(continuous.requests.maxTbtStats().p90,
+              mixed.requests.maxTbtStats().p90);
 }
 
 }  // namespace

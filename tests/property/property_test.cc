@@ -244,26 +244,37 @@ TEST(BlockManagerProperty, RandomOpsMatchReferenceModel)
 
 TEST(SummaryProperty, PercentilesMatchSortedReference)
 {
+    // Samples arrive in rounds with queries in between, so a query
+    // that sorted the store in place must not leave a later query
+    // reading a half-sorted one.
     sim::Rng rng(777);
     for (int trial = 0; trial < 20; ++trial) {
         metrics::Summary s;
         std::vector<double> values;
-        const int n = static_cast<int>(rng.uniformInt(1, 500));
-        for (int i = 0; i < n; ++i) {
-            const double v = rng.uniform(0.0, 1000.0);
-            s.add(v);
-            values.push_back(v);
-        }
-        std::sort(values.begin(), values.end());
-        for (double p : {0.0, 25.0, 50.0, 90.0, 99.0, 100.0}) {
-            const double rank = p / 100.0 * (n - 1);
-            const auto lo = static_cast<std::size_t>(rank);
-            const auto hi = std::min<std::size_t>(lo + 1, n - 1);
-            const double frac = rank - static_cast<double>(lo);
-            const double expected =
-                values[lo] + (values[hi] - values[lo]) * frac;
-            ASSERT_NEAR(s.percentile(p), expected, 1e-9)
-                << "trial " << trial << " p" << p;
+        const int rounds = static_cast<int>(rng.uniformInt(1, 4));
+        for (int round = 0; round < rounds; ++round) {
+            const int m = static_cast<int>(rng.uniformInt(1, 200));
+            for (int i = 0; i < m; ++i) {
+                const double v = rng.uniform(0.0, 1000.0);
+                s.add(v);
+                values.push_back(v);
+            }
+            std::sort(values.begin(), values.end());
+            const auto n = values.size();
+            ASSERT_EQ(s.count(), n);
+            for (double p : {0.0, 25.0, 50.0, 90.0, 99.0, 100.0}) {
+                const double rank = p / 100.0 * static_cast<double>(n - 1);
+                const auto lo = static_cast<std::size_t>(rank);
+                const auto hi = std::min<std::size_t>(lo + 1, n - 1);
+                const double frac = rank - static_cast<double>(lo);
+                const double expected =
+                    values[lo] + (values[hi] - values[lo]) * frac;
+                ASSERT_NEAR(s.percentile(p), expected, 1e-9)
+                    << "trial " << trial << " round " << round << " p"
+                    << p;
+            }
+            ASSERT_EQ(s.min(), values.front());
+            ASSERT_EQ(s.max(), values.back());
         }
     }
 }

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -51,7 +50,6 @@ TEST(EventActionTest, HotPathCaptureShapesStayInline)
         int attempt;
         bool timed_out;
         bool succeeds;
-        std::function<void(void*)> done;
     };
     static_assert(sizeof(KvDelivery) <= EventAction::kInlineBytes);
 
