@@ -1,8 +1,9 @@
 /**
  * @file
  * Golden-report regression tests: small, fast variants of the
- * bench_fig12 and bench_table5 configurations whose full serialized
- * run reports are checked in under tests/golden/data/. Any change to
+ * bench_fig12 and bench_table5 configurations (plus a prefix-cache
+ * and a latency-attribution cell) whose full serialized run reports
+ * are checked in under tests/golden/data/. Any change to
  * scheduling, pricing, or accounting that moves a number shows up as
  * a diff here before it can silently skew the paper figures.
  *
@@ -24,6 +25,7 @@
 #include <string>
 
 #include "core/designs.h"
+#include "core/fault_plan.h"
 #include "core/json.h"
 #include "core/report_io.h"
 #include "model/llm_config.h"
@@ -78,6 +80,31 @@ prefixSmallReport()
     config.policy.maxContextTokens = mt.maxContextTokens;
     Cluster cluster(model::llama2_70b(), splitwiseHH(5, 5), config);
     return reportToJson(cluster.run(trace));
+}
+
+/** Latency attribution in miniature: Splitwise-HH 2P+2T with span
+ *  tracking and worst-3 exemplars, through a prompt-machine crash
+ *  that rejoins and a token-machine NIC fault the KV retries ride
+ *  out, so the fault phases (restart_penalty, kv_backoff) are pinned
+ *  beside queue, prefill, kv_transfer and decode. */
+std::string
+spansSmallReport()
+{
+    workload::TraceGenerator gen(workload::conversation(), 42);
+    const auto trace = gen.generate(5.0, sim::secondsToUs(10));
+    SimConfig config;
+    config.telemetry.spanTracking = true;
+    config.telemetry.exemplarK = 3;
+    Cluster cluster(model::llama2_70b(), splitwiseHH(2, 2), config);
+    FaultPlan plan;
+    plan.add({FaultKind::kCrash, 0, sim::secondsToUs(3.0),
+              sim::secondsToUs(1.0)});
+    plan.add({FaultKind::kLinkFault, 2, sim::secondsToUs(5.0),
+              sim::secondsToUs(1.0)});
+    FaultInjector(cluster).apply(plan);
+    const RunReport report = cluster.run(trace);
+    return "{\"report\":" + reportToJson(report) + ",\"attribution\":" +
+           cluster.spanTracker()->attributionJson() + "}";
 }
 
 std::string
@@ -180,6 +207,20 @@ TEST(GoldenReportTest, PrefixSmallMatchesGolden)
     checkGolden("prefix_small.json", actual);
 }
 
+TEST(GoldenReportTest, SpansSmallMatchesGolden)
+{
+    const std::string actual = spansSmallReport();
+    // Every phase the faults are there to provoke must show up, or
+    // the golden would silently pin a fault-free run.
+    const JsonValue phases =
+        JsonValue::parse(actual).at("report").at("breakdown").at("phases");
+    for (const char* phase : {"queue", "prefill", "kv_transfer", "kv_backoff",
+                              "decode", "restart_penalty"}) {
+        ASSERT_GT(phases.at(phase).at("requests").asInt(), 0) << phase;
+    }
+    checkGolden("spans_small.json", actual);
+}
+
 /** The golden inputs themselves are deterministic - a regression
  *  here means flaky goldens, not a behavior change. */
 TEST(GoldenReportTest, GoldenConfigurationsAreDeterministic)
@@ -187,6 +228,7 @@ TEST(GoldenReportTest, GoldenConfigurationsAreDeterministic)
     EXPECT_EQ(fig12SmallReport(), fig12SmallReport());
     EXPECT_EQ(table5SmallReport(), table5SmallReport());
     EXPECT_EQ(prefixSmallReport(), prefixSmallReport());
+    EXPECT_EQ(spansSmallReport(), spansSmallReport());
 }
 
 }  // namespace
