@@ -7,6 +7,7 @@
  *   ./build/examples/capacity_planner [workload] [target_rps]
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -14,6 +15,22 @@
 #include "metrics/table.h"
 #include "provision/provisioner.h"
 #include "sim/run_pool.h"
+
+namespace {
+
+/** Parse a positive, finite request rate; false on anything else. */
+bool
+parseRps(const char* text, double& rps)
+{
+    char* end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(value) || value <= 0.0)
+        return false;
+    rps = value;
+    return true;
+}
+
+}  // namespace
 
 int
 main(int argc, char** argv)
@@ -23,7 +40,13 @@ main(int argc, char** argv)
     using provision::DesignKind;
 
     const std::string workload_name = argc > 1 ? argv[1] : "conversation";
-    const double target_rps = argc > 2 ? std::atof(argv[2]) : 50.0;
+    double target_rps = 50.0;
+    if (argc > 2 && !parseRps(argv[2], target_rps)) {
+        std::fprintf(stderr,
+                     "usage: capacity_planner [workload] [target_rps]\n"
+                     "  target_rps: positive request rate (default 50)\n");
+        return 2;
+    }
 
     provision::ProvisionerOptions options;
     options.traceDuration = sim::secondsToUs(20);

@@ -8,6 +8,7 @@
  *   ./build/examples/coding_assistant [rps]
  */
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -19,13 +20,34 @@
 #include "workload/trace_gen.h"
 #include "workload/workloads.h"
 
+namespace {
+
+/** Parse a positive, finite request rate; false on anything else. */
+bool
+parseRps(const char* text, double& rps)
+{
+    char* end = nullptr;
+    const double value = std::strtod(text, &end);
+    if (end == text || *end != '\0' || !std::isfinite(value) || value <= 0.0)
+        return false;
+    rps = value;
+    return true;
+}
+
+}  // namespace
+
 int
 main(int argc, char** argv)
 {
     using namespace splitwise;
     using metrics::Table;
 
-    const double rps = argc > 1 ? std::atof(argv[1]) : 60.0;
+    double rps = 60.0;
+    if (argc > 1 && !parseRps(argv[1], rps)) {
+        std::fprintf(stderr, "usage: coding_assistant [rps]\n"
+                             "  rps: positive request rate (default 60)\n");
+        return 2;
+    }
     const model::LlmConfig llm = model::llama2_70b();
 
     workload::TraceGenerator gen(workload::coding(), 11);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "core/ingress.h"
 #include "core/recording.h"
@@ -60,7 +61,7 @@ Cluster::Cluster(model::LlmConfig llm, ClusterDesign design, SimConfig config)
         const metrics::RequestResult result = req->result();
         results_.add(result);
         if (spans_) {
-            spans_->complete(req->spec.id, simulator_.now(),
+            spans_->complete(req->spans, req->spec.id, simulator_.now(),
                              worstSlowdown(result));
         }
         if (liveDone_)
@@ -471,13 +472,7 @@ Cluster::failMachine(int machine_id)
             checkpointRestores_->add();
             continue;
         }
-        // Fold the lost work into a restart-penalty span before
-        // re-admission re-opens the queue span.
-        if (spans_)
-            spans_->restart(req->spec.id, simulator_.now());
-        req->resetForRestart();
-        restarts_->add();
-        cls_->onArrival(req, /*force_admit=*/true);
+        restartRequest(req);
     }
     // Fault epochs are exactly where fixed-interval sampling
     // under-resolves; snapshot the post-failure state immediately.
@@ -508,12 +503,20 @@ Cluster::onTransferAbort(engine::LiveRequest* request)
     if (request->terminal())
         return;
     // The retry budget is spent; fall back to the paper's blunt
-    // policy and recompute the prompt from scratch. Restarts bypass
-    // admission control - the request was already accepted.
+    // policy and recompute the prompt from scratch.
     sim::LogRequestScope log_scope(request->spec.id);
     sim::inform("transfer retries exhausted; restarting request");
+    restartRequest(request);
+}
+
+void
+Cluster::restartRequest(engine::LiveRequest* request)
+{
+    // Fold the lost work into a restart-penalty span before
+    // re-admission re-opens the queue span. Restarts bypass admission
+    // control - the request was already accepted.
     if (spans_)
-        spans_->restart(request->spec.id, simulator_.now());
+        spans_->restart(request->spans, simulator_.now());
     request->resetForRestart();
     restarts_->add();
     cls_->onArrival(request, /*force_admit=*/true);
@@ -539,7 +542,7 @@ Cluster::restoreFromCheckpoint(engine::LiveRequest* request)
     // The generated work survives, so this is a transfer span (the
     // restore pays a wire move), not a restart penalty.
     if (spans_)
-        spans_->transition(request->spec.id,
+        spans_->transition(request->spans,
                            telemetry::SpanPhase::kKvTransfer,
                            simulator_.now());
     const double bytes = static_cast<double>(request->contextTokens()) *
@@ -652,7 +655,9 @@ Cluster::buildReport()
     }
 
     RunReport report;
-    report.requests = results_;
+    // Move, not copy: the exact-mode records are the run's largest
+    // allocation, and a copy would double it at the peak.
+    report.requests = std::move(results_);
     report.submitted = submitted_;
     report.simulatedUs = simulator_.now();
     report.footprint = design_.footprint();

@@ -374,7 +374,11 @@ class Cluster {
     /** The simulation tunables this cluster was built with. */
     const SimConfig& config() const { return config_; }
 
-    /** Completed-request records accumulated so far. */
+    /**
+     * Completed-request records accumulated so far. run() moves the
+     * records into its RunReport, so once a run returns only the
+     * scalar counts (completed(), token totals) remain here.
+     */
     const metrics::RequestMetrics& results() const { return results_; }
 
     /**
@@ -427,6 +431,13 @@ class Cluster {
 
     /** KV-transfer retry budget exhausted: restart from scratch. */
     void onTransferAbort(engine::LiveRequest* request);
+
+    /**
+     * Throw a request back to admission to recompute from scratch:
+     * fold its lost work into a restart-penalty span, reset its
+     * execution state, count the restart, and force re-admission.
+     */
+    void restartRequest(engine::LiveRequest* request);
 
     /**
      * Worst per-metric Table VI slowdown of one completed request

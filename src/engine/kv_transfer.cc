@@ -123,7 +123,7 @@ KvTransferEngine::startTransfer(LiveRequest* request, Machine* src,
             "kv_transfer", simulator_.now(),
             {{"src", src->id()}, {"dst", dst->id()}});
     if (spans_)
-        spans_->transition(request->spec.id,
+        spans_->transition(request->spans,
                            telemetry::SpanPhase::kKvTransfer,
                            simulator_.now());
     if (dst->failed()) {
@@ -149,7 +149,7 @@ KvTransferEngine::startTransfer(LiveRequest* request, Machine* src,
                 telemetry::TraceRecorder::requestTrack(request->spec.id),
                 "kv_memory_stall", simulator_.now(), {{"dst", dst->id()}});
         if (spans_)
-            spans_->transition(request->spec.id,
+            spans_->transition(request->spans,
                                telemetry::SpanPhase::kKvStall,
                                simulator_.now());
         port(dst->id()).waiting.push_back(
@@ -166,7 +166,7 @@ KvTransferEngine::launch(LiveRequest* request, Machine* src, Machine* dst,
     // Re-enter the transfer phase: a no-op on the first attempt, and
     // the stall/backoff-to-wire transition on later ones.
     if (spans_)
-        spans_->transition(request->spec.id,
+        spans_->transition(request->spans,
                            telemetry::SpanPhase::kKvTransfer,
                            simulator_.now());
     const auto& model = modelFor(*src, *dst);
@@ -251,7 +251,7 @@ KvTransferEngine::launch(LiveRequest* request, Machine* src, Machine* dst,
         // The destination's first decode iteration will close the
         // cross-machine flow arrow for this request.
         if (trace_)
-            trace_->markPendingFlow(request->spec.id);
+            request->kvFlowPending = true;
         dst->acceptTransferred(request);
     });
 }
@@ -277,7 +277,7 @@ KvTransferEngine::handleAttemptFailure(LiveRequest* request, Machine* src,
             "kv_retry", simulator_.now(),
             {{"attempt", attempt + 1}, {"backoff_us", backoff}});
     if (spans_)
-        spans_->transition(request->spec.id,
+        spans_->transition(request->spans,
                            telemetry::SpanPhase::kKvBackoff,
                            simulator_.now());
     const std::uint32_t epoch = request->restartEpoch;

@@ -54,7 +54,7 @@ Machine::Machine(sim::Simulator& simulator, int id, hw::MachineSpec spec,
     mls_.setPreemptHook([this](LiveRequest* victim) {
         victim->promptMachine = id_;
         if (spans_)
-            spans_->transition(victim->spec.id, telemetry::SpanPhase::kQueue,
+            spans_->transition(victim->spans, telemetry::SpanPhase::kQueue,
                                simulator_.now());
     });
 }
@@ -83,7 +83,7 @@ Machine::submitPrompt(LiveRequest* request)
             "queued", simulator_.now(),
             {{"machine", id_}, {"restarts", request->restarts}});
     if (spans_)
-        spans_->transition(request->spec.id, telemetry::SpanPhase::kQueue,
+        spans_->transition(request->spans, telemetry::SpanPhase::kQueue,
                            simulator_.now());
     mls_.enqueuePrompt(request);
     kick();
@@ -118,7 +118,7 @@ Machine::acceptTransferred(LiveRequest* request)
             telemetry::TraceRecorder::requestTrack(request->spec.id),
             "decode", simulator_.now(), {{"machine", id_}});
     if (spans_)
-        spans_->transition(request->spec.id, telemetry::SpanPhase::kDecode,
+        spans_->transition(request->spans, telemetry::SpanPhase::kDecode,
                            simulator_.now());
     mls_.addResident(request);
     kick();
@@ -332,13 +332,11 @@ Machine::startIteration()
         // arrow here: the 'f' point must sit inside an open slice on
         // this machine's track, and the first decode iteration is
         // the first such slice after the handoff.
-        if (trace_->hasPendingFlows()) {
-            for (auto* req : plan.decodes) {
-                if (trace_->takePendingFlow(req->spec.id)) {
-                    trace_->flowEnd(
-                        telemetry::TraceRecorder::machineTrack(id_),
-                        "kv_handoff", simulator_.now(), req->spec.id);
-                }
+        for (auto* req : plan.decodes) {
+            if (req->kvFlowPending) {
+                req->kvFlowPending = false;
+                trace_->flowEnd(telemetry::TraceRecorder::machineTrack(id_),
+                                "kv_handoff", simulator_.now(), req->spec.id);
             }
         }
     }
@@ -347,7 +345,7 @@ Machine::startIteration()
             // A prefix hit computes only the suffix; attribute the
             // compute to its own phase so reports can separate cheap
             // (cache-assisted) prefills from full ones.
-            spans_->transition(req->spec.id,
+            spans_->transition(req->spans,
                                req->cachedPrefixTokens > 0
                                    ? telemetry::SpanPhase::kPrefixHit
                                    : telemetry::SpanPhase::kPrefill,
@@ -415,7 +413,7 @@ Machine::routePromptCompletion(LiveRequest* request,
                 telemetry::TraceRecorder::requestTrack(request->spec.id),
                 "decode", simulator_.now(), {{"machine", id_}});
         if (spans_)
-            spans_->transition(request->spec.id,
+            spans_->transition(request->spans,
                                telemetry::SpanPhase::kDecode,
                                simulator_.now());
         mls_.addResident(request);

@@ -6,6 +6,7 @@
 
 #include "metrics/request_metrics.h"
 #include "sim/time.h"
+#include "telemetry/span_tracker.h"
 #include "workload/trace.h"
 
 namespace splitwise::engine {
@@ -120,10 +121,23 @@ struct LiveRequest {
     std::array<KvHold, 2> kv{};
 
     /**
+     * Span timeline (SpanTracker); stays empty unless span tracking
+     * is on. The pool keeps its segment capacity across recycling.
+     */
+    telemetry::RequestSpans spans;
+
+    /**
      * Slot index inside the owning RequestPool; pool bookkeeping
      * only. Preserved (with restartEpoch) across slot recycling.
      */
     std::uint32_t poolSlot = 0;
+
+    /**
+     * Trace only: the KV handoff delivered this request and its flow
+     * arrow still awaits the flowEnd of its first decode iteration.
+     * Survives resetForRestart; only that decode iteration clears it.
+     */
+    bool kvFlowPending = false;
 
     /** KV context tokens accumulated so far. */
     std::int64_t

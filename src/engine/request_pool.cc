@@ -1,5 +1,7 @@
 #include "engine/request_pool.h"
 
+#include <utility>
+
 #include "sim/log.h"
 
 namespace splitwise::engine {
@@ -39,11 +41,15 @@ RequestPool::acquire()
     LiveRequest* row = rowAt(slot);
     // Preserve-and-bump: the epoch survives the reset as the slot's
     // incarnation counter, invalidating events captured against any
-    // previous occupant.
+    // previous occupant. The span segment buffer survives emptied, so
+    // warm span tracking allocates nothing.
     const std::uint32_t epoch = row->restartEpoch;
+    auto segments = std::move(row->spans.segments);
+    segments.clear();
     *row = LiveRequest{};
     row->restartEpoch = epoch + 1;
     row->poolSlot = slot;
+    row->spans.segments = std::move(segments);
 
     liveBits_[slot] = 1;
     ++liveCount_;

@@ -43,7 +43,8 @@ class RequestPool {
     /**
      * Take a slot off the free list (growing a slab if none are
      * free) and reset its row to a fresh request - except for
-     * restartEpoch, which is bumped (see the ABA note above).
+     * restartEpoch, which is bumped (see the ABA note above), and the
+     * span segment buffer, which keeps its capacity.
      */
     LiveRequest* acquire();
 

@@ -54,40 +54,8 @@ SpanTracker::setBrownoutLevel(int level)
     brownoutLevel_ = level;
 }
 
-SpanTracker::Slot&
-SpanTracker::slotOf(std::uint64_t request_id)
-{
-    auto it = live_.find(request_id);
-    if (it != live_.end())
-        return slots_[it->second];
-    std::size_t idx;
-    if (!freeSlots_.empty()) {
-        idx = freeSlots_.back();
-        freeSlots_.pop_back();
-    } else {
-        idx = slots_.size();
-        slots_.emplace_back();
-    }
-    live_.emplace(request_id, idx);
-    Slot& slot = slots_[idx];
-    slot.timeline.requestId = request_id;
-    slot.timeline.restarts = 0;
-    slot.timeline.doneUs = kSpanOpen;
-    slot.timeline.segments.clear();  // capacity retained across reuse
-    slot.incarnationStart = 0;
-    return slot;
-}
-
 void
-SpanTracker::closeOpenSegment(Slot& slot, sim::TimeUs now)
-{
-    auto& segments = slot.timeline.segments;
-    if (!segments.empty() && segments.back().endUs == kSpanOpen)
-        segments.back().endUs = now;
-}
-
-void
-SpanTracker::transition(std::uint64_t request_id, SpanPhase phase,
+SpanTracker::transition(RequestSpans& spans, SpanPhase phase,
                         sim::TimeUs now)
 {
     // Degraded-mode queueing is its own phase so brownout penalties
@@ -95,15 +63,15 @@ SpanTracker::transition(std::uint64_t request_id, SpanPhase phase,
     if (phase == SpanPhase::kQueue && brownoutLevel_ > 0)
         phase = SpanPhase::kBrownoutStall;
 
-    // Single hash probe: only a slot slotOf just created (or reused)
-    // has no segments — transition and restart always leave one.
-    Slot& slot = slotOf(request_id);
-    if (slot.timeline.segments.empty()) {
-        slot.timeline.arrivalUs = now;
-        slot.incarnationStartUs = now;
-    }
-    auto& segments = slot.timeline.segments;
-    if (!segments.empty() && segments.back().endUs == kSpanOpen) {
+    auto& segments = spans.segments;
+    if (segments.empty()) {
+        // First sight: transition and restart always leave a segment.
+        spans.arrivalUs = now;
+        spans.incarnationStartUs = now;
+        spans.incarnationStart = 0;
+        spans.restarts = 0;
+        ++open_;
+    } else if (segments.back().endUs == kSpanOpen) {
         if (segments.back().phase == phase)
             return;  // already in this phase
         segments.back().endUs = now;
@@ -112,47 +80,43 @@ SpanTracker::transition(std::uint64_t request_id, SpanPhase phase,
 }
 
 void
-SpanTracker::restart(std::uint64_t request_id, sim::TimeUs now)
+SpanTracker::restart(RequestSpans& spans, sim::TimeUs now)
 {
-    auto it = live_.find(request_id);
-    if (it == live_.end())
+    if (!spans.open())
         sim::panic("SpanTracker::restart for untracked request");
-    Slot& slot = slots_[it->second];
-    auto& segments = slot.timeline.segments;
-    closeOpenSegment(slot, now);
+    auto& segments = spans.segments;
+    if (segments.back().endUs == kSpanOpen)
+        segments.back().endUs = now;
     // Everything since the last (re)start was lost work; collapse it
     // into one restart_penalty segment. Back-to-back crashes extend
     // the previous penalty instead of stacking zero-glued segments.
-    segments.resize(slot.incarnationStart);
+    segments.resize(spans.incarnationStart);
     if (!segments.empty() &&
         segments.back().phase == SpanPhase::kRestartPenalty &&
-        segments.back().endUs == slot.incarnationStartUs) {
+        segments.back().endUs == spans.incarnationStartUs) {
         segments.back().endUs = now;
     } else {
         segments.push_back({SpanPhase::kRestartPenalty,
-                            slot.incarnationStartUs, now});
+                            spans.incarnationStartUs, now});
     }
-    slot.incarnationStart = segments.size();
-    slot.incarnationStartUs = now;
-    ++slot.timeline.restarts;
+    spans.incarnationStart = static_cast<std::uint32_t>(segments.size());
+    spans.incarnationStartUs = now;
+    ++spans.restarts;
 }
 
 void
-SpanTracker::complete(std::uint64_t request_id, sim::TimeUs now,
-                      double slowdown)
+SpanTracker::complete(RequestSpans& spans, std::uint64_t request_id,
+                      sim::TimeUs now, double slowdown)
 {
-    auto it = live_.find(request_id);
-    if (it == live_.end())
+    if (!spans.open())
         sim::panic("SpanTracker::complete for untracked request");
-    const std::size_t idx = it->second;
-    Slot& slot = slots_[idx];
-    closeOpenSegment(slot, now);
-    slot.timeline.doneUs = now;
+    if (spans.segments.back().endUs == kSpanOpen)
+        spans.segments.back().endUs = now;
 
     double perPhaseMs[kSpanPhaseCount] = {};
     bool touched[kSpanPhaseCount] = {};
     double attributedMs = 0.0;
-    for (const auto& seg : slot.timeline.segments) {
+    for (const auto& seg : spans.segments) {
         const double ms = usToMsF(seg.endUs - seg.startUs);
         const int p = static_cast<int>(seg.phase);
         perPhaseMs[p] += ms;
@@ -165,7 +129,7 @@ SpanTracker::complete(std::uint64_t request_id, sim::TimeUs now,
         phaseMs_[p].add(perPhaseMs[p]);
         phaseTotalMs_[p] += perPhaseMs[p];
     }
-    e2eTotalMs_ += usToMsF(now - slot.timeline.arrivalUs);
+    e2eTotalMs_ += usToMsF(now - spans.arrivalUs);
     attributedTotalMs_ += attributedMs;
     ++completed_;
 
@@ -177,84 +141,50 @@ SpanTracker::complete(std::uint64_t request_id, sim::TimeUs now,
             auto pos = std::find_if(
                 exemplars_.begin(), exemplars_.end(),
                 [&](const SpanExemplar& e) { return e.slowdown < slowdown; });
-            exemplars_.insert(pos, {slowdown, slot.timeline});
+            exemplars_.insert(pos, {slowdown,
+                                    {request_id, spans.arrivalUs, now,
+                                     spans.restarts, spans.segments}});
             if (exemplars_.size() > k)
                 exemplars_.pop_back();
         }
     }
 
-    if (ring_.size() < kFlightRecorderCapacity) {
-        ring_.push_back(slot.timeline);
-    } else {
-        // Copy-assign reuses the evicted entry's segment storage.
-        ring_[ringNext_] = slot.timeline;
-    }
+    if (ring_.size() < kFlightRecorderCapacity)
+        ring_.emplace_back();
+    // Assigning over an evicted entry reuses its segment storage.
+    SpanTimeline& recent = ring_[ringNext_];
+    recent.requestId = request_id;
+    recent.arrivalUs = spans.arrivalUs;
+    recent.doneUs = now;
+    recent.restarts = spans.restarts;
+    recent.segments = spans.segments;
     ringNext_ = (ringNext_ + 1) % kFlightRecorderCapacity;
 
-    live_.erase(it);
-    freeSlots_.push_back(idx);
-}
-
-const SpanTimeline*
-SpanTracker::liveTimeline(std::uint64_t request_id) const
-{
-    auto it = live_.find(request_id);
-    return it == live_.end() ? nullptr : &slots_[it->second].timeline;
+    spans.segments.clear();  // capacity retained for the row's reuse
+    --open_;
 }
 
 const char*
-SpanTracker::timelineDefect(const SpanTimeline& tl, std::uint64_t id)
+SpanTracker::timelineDefect(const RequestSpans& spans)
 {
-    if (tl.requestId != id)
-        return "slot holds a different request";
-    if (tl.segments.empty())
-        return "live timeline with no segments";
-    if (tl.doneUs != kSpanOpen)
-        return "live timeline already completed";
-    if (tl.segments.front().startUs != tl.arrivalUs)
+    const auto& segments = spans.segments;
+    if (segments.empty())
+        return "timeline has no segments";
+    if (segments.front().startUs != spans.arrivalUs)
         return "first segment does not start at arrival";
-    for (std::size_t i = 0; i < tl.segments.size(); ++i) {
-        const auto& seg = tl.segments[i];
-        const bool last = i + 1 == tl.segments.size();
+    for (std::size_t i = 0; i < segments.size(); ++i) {
+        const auto& seg = segments[i];
+        const bool last = i + 1 == segments.size();
         if (!last && seg.endUs == kSpanOpen)
             return "open segment is not the last";
         if (last && seg.endUs != kSpanOpen)
             return "live timeline has no open segment";
         if (seg.endUs != kSpanOpen && seg.endUs < seg.startUs)
             return "segment ends before it starts";
-        if (!last && tl.segments[i + 1].startUs != seg.endUs)
+        if (!last && segments[i + 1].startUs != seg.endUs)
             return "gap between segments";
     }
     return nullptr;
-}
-
-std::string
-SpanTracker::integrityError() const
-{
-    // The DST checker calls this at every quiescent point, so the
-    // happy path must stay allocation-free: scan first, and only
-    // build the report string once a defect is known to exist.
-    bool defective = false;
-    for (const auto& [id, idx] : live_) {
-        if (timelineDefect(slots_[idx].timeline, id)) {
-            defective = true;
-            break;
-        }
-    }
-    if (!defective)
-        return "";
-    // Deterministic report regardless of hash-map order: the lowest
-    // defective request id wins.
-    std::uint64_t bad = 0;
-    const char* reason = nullptr;
-    for (const auto& [id, idx] : live_) {
-        const char* r = timelineDefect(slots_[idx].timeline, id);
-        if (r && (!reason || id < bad)) {
-            bad = id;
-            reason = r;
-        }
-    }
-    return "request " + std::to_string(bad) + ": " + reason;
 }
 
 LatencyBreakdown
@@ -281,20 +211,22 @@ SpanTracker::breakdown() const
 }
 
 void
-SpanTracker::appendTimelineJson(std::string& out,
-                                const SpanTimeline& timeline)
+SpanTracker::appendTimelineJson(std::string& out, std::uint64_t id,
+                                sim::TimeUs arrival_us, sim::TimeUs done_us,
+                                int restarts,
+                                const std::vector<SpanSegment>& segments)
 {
     out += "{\"request\":";
-    out += std::to_string(timeline.requestId);
+    out += std::to_string(id);
     out += ",\"arrival_us\":";
-    out += std::to_string(timeline.arrivalUs);
+    out += std::to_string(arrival_us);
     out += ",\"done_us\":";
-    out += std::to_string(timeline.doneUs);
+    out += std::to_string(done_us);
     out += ",\"restarts\":";
-    out += std::to_string(timeline.restarts);
+    out += std::to_string(restarts);
     out += ",\"spans\":[";
-    for (std::size_t i = 0; i < timeline.segments.size(); ++i) {
-        const auto& seg = timeline.segments[i];
+    for (std::size_t i = 0; i < segments.size(); ++i) {
+        const auto& seg = segments[i];
         if (i)
             out += ',';
         out += "{\"phase\":\"";
@@ -347,7 +279,9 @@ SpanTracker::attributionJson() const
         out += "{\"slowdown\":";
         appendNum(out, exemplars_[i].slowdown);
         out += ",\"timeline\":";
-        appendTimelineJson(out, exemplars_[i].timeline);
+        const SpanTimeline& tl = exemplars_[i].timeline;
+        appendTimelineJson(out, tl.requestId, tl.arrivalUs, tl.doneUs,
+                           tl.restarts, tl.segments);
         out += '}';
     }
     out += "]}";
@@ -355,28 +289,28 @@ SpanTracker::attributionJson() const
 }
 
 std::string
-SpanTracker::flightRecorderJson() const
+SpanTracker::flightRecorderJson(
+    const std::vector<std::pair<std::uint64_t, const RequestSpans*>>& live)
+    const
 {
     std::string out;
     out += "{\"recent\":[";
     // Oldest first: the ring's logical order starts at ringNext_,
     // which equals ring_.size() until the ring fills.
     for (std::size_t i = 0; i < ring_.size(); ++i) {
-        const std::size_t idx = (ringNext_ + i) % ring_.size();
+        const SpanTimeline& tl = ring_[(ringNext_ + i) % ring_.size()];
         if (i)
             out += ',';
-        appendTimelineJson(out, ring_[idx]);
+        appendTimelineJson(out, tl.requestId, tl.arrivalUs, tl.doneUs,
+                           tl.restarts, tl.segments);
     }
     out += "],\"live\":[";
-    std::vector<std::uint64_t> ids;
-    ids.reserve(live_.size());
-    for (const auto& [id, idx] : live_)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    for (std::size_t i = 0; i < ids.size(); ++i) {
+    for (std::size_t i = 0; i < live.size(); ++i) {
+        const RequestSpans& spans = *live[i].second;
         if (i)
             out += ',';
-        appendTimelineJson(out, slots_[live_.at(ids[i])].timeline);
+        appendTimelineJson(out, live[i].first, spans.arrivalUs, kSpanOpen,
+                           spans.restarts, spans.segments);
     }
     out += "]}";
     return out;

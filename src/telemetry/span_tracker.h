@@ -4,7 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "metrics/summary.h"
@@ -58,6 +58,31 @@ struct SpanSegment {
 /** Sentinel end for a still-open segment. */
 inline constexpr sim::TimeUs kSpanOpen = -1;
 
+/**
+ * The span state of one live request: its timeline so far plus the
+ * bookkeeping restart() needs. The request's pool row owns it, so the
+ * tracker keeps no per-request table; it only mutates the state it is
+ * handed. A row with no segments has no open timeline.
+ */
+struct RequestSpans {
+    /** Contiguous from arrivalUs: segments[i].endUs ==
+     *  segments[i+1].startUs. Keeps its capacity when cleared. */
+    std::vector<SpanSegment> segments;
+    sim::TimeUs arrivalUs = 0;
+    /** Sim time the current incarnation began (== arrival until the
+     *  first restart). */
+    sim::TimeUs incarnationStartUs = 0;
+    /** First segment index of the current incarnation. */
+    std::uint32_t incarnationStart = 0;
+    /** restart() calls folded into this timeline. Tracks
+     *  LiveRequest::restarts, but keeps telemetry/ free of engine
+     *  types and fills what would be padding. */
+    std::int32_t restarts = 0;
+
+    /** True while a timeline is open (transitioned, not completed). */
+    bool open() const { return !segments.empty(); }
+};
+
 /** Full causal span timeline of one request. */
 struct SpanTimeline {
     std::uint64_t requestId = 0;
@@ -110,21 +135,22 @@ struct SpanTrackerConfig {
 };
 
 /**
- * Records per-request causal span timelines and aggregates them into
- * a latency breakdown, SLO-breach exemplars, and a bounded
+ * Attributes per-request causal span timelines and aggregates them
+ * into a latency breakdown, SLO-breach exemplars, and a bounded
  * flight-recorder ring.
  *
  * Engine hooks call transition() as a request changes phase; the
  * cluster calls restart() when a crash throws a request back to
- * admission and complete() when it finishes. Live timelines are held
- * in pooled slots reused across requests (segment vectors keep their
- * capacity), so steady-state tracking does no per-transition heap
- * allocation once warm.
+ * admission and complete() when it finishes. Each call takes the
+ * request's RequestSpans, which lives in its pool row: recycled rows
+ * keep their segment capacity, so steady-state tracking does no
+ * per-transition heap allocation once warm, and the tracker itself
+ * holds only cross-request state plus a count of open timelines.
  *
- * Completed timelines are folded into per-phase Summary aggregates
- * and recycled. Timeline memory is O(live requests + flight ring + K
- * exemplars); the aggregates keep one sample per completed request
- * per phase it visited, so they grow O(completed requests).
+ * Completed timelines are folded into per-phase Summary aggregates.
+ * Timeline memory outside the rows is O(flight ring + K exemplars);
+ * the aggregates keep one sample per completed request per phase it
+ * visited, so they grow O(completed requests).
  */
 class SpanTracker {
   public:
@@ -141,13 +167,12 @@ class SpanTracker {
     void setBrownoutLevel(int level);
 
     /**
-     * Move a request into @p phase at @p now. Creates the timeline on
+     * Move a request into @p phase at @p now. Opens the timeline on
      * first sight (arrival = now); a repeat of the open phase is a
      * no-op, anything else closes the open segment and opens a new
      * one — the exclusive-phase idiom shared with TraceRecorder.
      */
-    void transition(std::uint64_t request_id, SpanPhase phase,
-                    sim::TimeUs now);
+    void transition(RequestSpans& spans, SpanPhase phase, sim::TimeUs now);
 
     /**
      * Fold everything the request did since its last (re)start into a
@@ -156,33 +181,30 @@ class SpanTracker {
      * prefill/decode. Leaves no open segment; the re-admission hook
      * opens the next one at the same timestamp.
      */
-    void restart(std::uint64_t request_id, sim::TimeUs now);
+    void restart(RequestSpans& spans, sim::TimeUs now);
 
     /**
-     * Finish a request: closes the open segment, folds the timeline
-     * into the per-phase aggregates, considers it for the exemplar
-     * top-K (ranked by @p slowdown), pushes it into the flight
-     * recorder, and recycles the slot.
+     * Finish request @p request_id: closes the open segment, folds
+     * the timeline into the per-phase aggregates, considers it for
+     * the exemplar top-K (ranked by @p slowdown), pushes it into the
+     * flight recorder, and clears @p spans.
      */
-    void complete(std::uint64_t request_id, sim::TimeUs now,
-                  double slowdown);
+    void complete(RequestSpans& spans, std::uint64_t request_id,
+                  sim::TimeUs now, double slowdown);
 
-    /** Number of live (incomplete) timelines. */
-    std::size_t liveCount() const { return live_.size(); }
-
-    /** Live timeline of a request, or nullptr. */
-    const SpanTimeline* liveTimeline(std::uint64_t request_id) const;
+    /** Number of open (incomplete) timelines. */
+    std::size_t liveCount() const { return open_; }
 
     /** Completed-request count folded into the aggregates. */
     std::size_t completedCount() const { return completed_; }
 
     /**
-     * Structural self-check used by the DST invariant checker: every
-     * live timeline must be contiguous from arrival, with exactly one
-     * open segment, in phase-legal order. Returns "" when consistent,
-     * else a description of the first violation.
+     * Structural self-check of one open timeline, used by the DST
+     * invariant checker: contiguous from arrival, exactly one open
+     * segment (the last), end >= start everywhere. nullptr when
+     * sound, else the defect.
      */
-    std::string integrityError() const;
+    static const char* timelineDefect(const RequestSpans& spans);
 
     /** Aggregate per-phase attribution over completed requests. */
     LatencyBreakdown breakdown() const;
@@ -200,36 +222,25 @@ class SpanTracker {
 
     /**
      * Flight-recorder dump: the most recent completed timelines
-     * (oldest first) plus all still-live ones, as JSON. Written when
-     * a DST invariant fires so the last moments before the violation
-     * are reconstructable.
+     * (oldest first) plus the caller's still-open ones, as JSON.
+     * Written when a DST invariant fires so the last moments before
+     * the violation are reconstructable. @p live lists (request id,
+     * span state) pairs in dump order.
      */
-    std::string flightRecorderJson() const;
+    std::string flightRecorderJson(
+        const std::vector<std::pair<std::uint64_t, const RequestSpans*>>&
+            live) const;
 
   private:
-    struct Slot {
-        SpanTimeline timeline;
-        /** First segment index of the current incarnation. */
-        std::size_t incarnationStart = 0;
-        /** Sim time the current incarnation began (== arrival until
-         *  the first restart). */
-        sim::TimeUs incarnationStartUs = 0;
-    };
-
-    Slot& slotOf(std::uint64_t request_id);
-    void closeOpenSegment(Slot& slot, sim::TimeUs now);
-    /** nullptr when @p tl is structurally sound, else the defect. */
-    static const char* timelineDefect(const SpanTimeline& tl,
-                                      std::uint64_t id);
-    static void appendTimelineJson(std::string& out,
-                                   const SpanTimeline& timeline);
+    static void appendTimelineJson(std::string& out, std::uint64_t id,
+                                   sim::TimeUs arrival_us,
+                                   sim::TimeUs done_us, int restarts,
+                                   const std::vector<SpanSegment>& segments);
 
     SpanTrackerConfig config_;
     int brownoutLevel_ = 0;
-    std::vector<Slot> slots_;
-    std::vector<std::size_t> freeSlots_;
-    /** requestId -> index into slots_. */
-    std::unordered_map<std::uint64_t, std::size_t> live_;
+    /** Timelines opened by transition() and not yet completed. */
+    std::size_t open_ = 0;
 
     std::size_t completed_ = 0;
     double e2eTotalMs_ = 0.0;

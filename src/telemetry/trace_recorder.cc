@@ -197,18 +197,6 @@ TraceRecorder::flowEnd(Track track, const char* name, sim::TimeUs ts,
     events_.push_back({'f', track, ts, name, flow_id, {}});
 }
 
-void
-TraceRecorder::markPendingFlow(std::uint64_t flow_id)
-{
-    pendingFlows_.insert(flow_id);
-}
-
-bool
-TraceRecorder::takePendingFlow(std::uint64_t flow_id)
-{
-    return pendingFlows_.erase(flow_id) > 0;
-}
-
 std::size_t
 TraceRecorder::openSpans() const
 {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -57,6 +56,10 @@ struct Track {
  * closing the previous phase. Export fails loudly (panic) on
  * unmatched end(); finish-time leftovers are the caller's job to
  * close (see close()).
+ *
+ * The recorder holds no per-request state. A KV handoff's flow arrow
+ * spans two machines, so the caller remembers which requests still
+ * owe a flowEnd (the request row's kvFlowPending bit).
  *
  * All timestamps are simulated microseconds, which is exactly the
  * unit the trace_event format expects in "ts".
@@ -114,16 +117,6 @@ class TraceRecorder {
     void flowEnd(Track track, const char* name, sim::TimeUs ts,
                  std::uint64_t flow_id);
 
-    /**
-     * Cross-machine handoff bookkeeping: the source side marks a flow
-     * id as pending; the destination side takes it when its first
-     * slice opens and emits the flowEnd there. take returns false when
-     * the id was never marked (e.g. a locally-decoded request).
-     */
-    void markPendingFlow(std::uint64_t flow_id);
-    bool takePendingFlow(std::uint64_t flow_id);
-    bool hasPendingFlows() const { return !pendingFlows_.empty(); }
-
     /** Number of recorded events (metadata excluded). */
     std::size_t eventCount() const { return events_.size(); }
 
@@ -157,8 +150,6 @@ class TraceRecorder {
     /** Stack of open span names per track. */
     std::map<TrackKey, std::vector<const char*>> open_;
     std::map<TrackKey, std::string> trackNames_;
-    /** Flow ids awaiting their destination-side flowEnd. */
-    std::unordered_set<std::uint64_t> pendingFlows_;
 };
 
 }  // namespace splitwise::telemetry

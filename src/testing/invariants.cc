@@ -604,33 +604,49 @@ InvariantChecker::checkSpanTimelines()
     const telemetry::SpanTracker* spans = cluster_.spanTracker();
     if (!spans)
         return;
-    // The sweep below is O(live timelines x segments); span defects
+    // The sweep below is O(live requests x segments); span defects
     // are persistent (append-only segments), so sampling every Nth
-    // check loses only latency, not coverage. finalCheck re-sweeps.
+    // check loses only latency, not coverage.
     if (options_.spanCheckEveryNth > 1 &&
         (spanCheckTick_++ % static_cast<std::uint64_t>(
                                 options_.spanCheckEveryNth)) != 0) {
         return;
     }
-    // Timeline balance: exactly one live timeline per routed,
-    // non-terminal request - the tracker may neither leak completed
-    // timelines nor lose live ones.
-    std::size_t routed = 0;
+    // One pool walk. Balance: exactly one open timeline per routed,
+    // non-terminal request and none on any other row. Structure:
+    // contiguous from arrival, exactly one open segment, end >= start
+    // everywhere. The lowest defective id is reported, so the verdict
+    // does not depend on slot order.
+    std::size_t open = 0;
+    std::uint64_t badId = 0;
+    const char* defect = nullptr;
     cluster_.requestPool().forEachLive([&](const engine::LiveRequest& req) {
-        if (!req.terminal() && req.promptMachine >= 0)
-            ++routed;
+        const bool routed = !req.terminal() && req.promptMachine >= 0;
+        const bool tracked = req.spans.open();
+        open += tracked;
+        const char* d = nullptr;
+        if (routed && !tracked)
+            d = "routed request has no open timeline";
+        else if (tracked && !routed)
+            d = "open timeline on an unrouted or terminal request";
+        else if (tracked)
+            d = telemetry::SpanTracker::timelineDefect(req.spans);
+        if (d && (!defect || req.spec.id < badId)) {
+            badId = req.spec.id;
+            defect = d;
+        }
     });
-    if (spans->liveCount() != routed) {
+    // The tracker's count also covers rows released (and possibly
+    // recycled) with their timeline still open.
+    if (spans->liveCount() != open) {
         violate("span-balance",
-                std::to_string(spans->liveCount()) +
-                    " live request timelines, expected " +
-                    std::to_string(routed) + " routed non-terminal requests");
+                "tracker counts " + std::to_string(spans->liveCount()) +
+                    " open request timelines, live rows hold " +
+                    std::to_string(open));
     }
-    // Structural self-check: contiguous from arrival, exactly one
-    // open segment, end >= start everywhere.
-    const std::string err = spans->integrityError();
-    if (!err.empty())
-        violate("span-balance", err);
+    if (defect)
+        violate("span-balance",
+                "request " + std::to_string(badId) + ": " + defect);
 }
 
 void
@@ -712,11 +728,6 @@ InvariantChecker::finalCheck(const core::RunReport& report)
                         " request timelines still open after the run "
                         "drained");
         }
-        // Full structural sweep: the per-check sweep samples at
-        // spanCheckEveryNth, so re-verify everything still live here.
-        const std::string err = spans->integrityError();
-        if (!err.empty())
-            violate("span-balance", err);
         if (spans->completedCount() != done) {
             violate("span-balance",
                     "tracker folded " +

@@ -62,8 +62,9 @@ struct InvariantOptions {
      */
     int checkEveryNthAdvance = 1;
     /**
-     * Run the span-timeline structural sweep only every Nth
-     * invariant check (the final check always sweeps). Span defects
+     * Run the span-timeline pool sweep only every Nth invariant
+     * check (the final check still requires every timeline closed
+     * and folded). Span defects
      * cannot self-heal - segments are append-only, a gap or leaked
      * timeline persists - so thinning trades detection *latency*,
      * not detection, for keeping the spans-on DST overhead small.

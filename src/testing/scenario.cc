@@ -296,6 +296,21 @@ scenarioSimConfig(const Scenario& scenario)
     return config;
 }
 
+std::string
+flightRecorderJson(const telemetry::SpanTracker& spans,
+                   const engine::RequestPool& pool)
+{
+    // Open timelines live in the request rows; dump them in id order,
+    // not slot order, so the bytes depend only on the run.
+    std::vector<std::pair<std::uint64_t, const telemetry::RequestSpans*>> live;
+    pool.forEachLive([&](const engine::LiveRequest& req) {
+        if (req.spans.open())
+            live.emplace_back(req.spec.id, &req.spans);
+    });
+    std::sort(live.begin(), live.end());
+    return spans.flightRecorderJson(live);
+}
+
 ScenarioOutcome
 runScenario(const Scenario& scenario, const InvariantOptions& options)
 {
@@ -405,8 +420,8 @@ runScenario(const Scenario& scenario, const InvariantOptions& options)
         // Snapshot the span flight recorder before the cluster (and
         // its tracker) go out of scope.
         if (cluster.spanTracker()) {
-            outcome.flightRecorderJson =
-                cluster.spanTracker()->flightRecorderJson();
+            outcome.flightRecorderJson = flightRecorderJson(
+                *cluster.spanTracker(), cluster.requestPool());
         }
     }
     return outcome;

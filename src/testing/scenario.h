@@ -184,6 +184,13 @@ struct ScenarioOutcome {
 };
 
 /**
+ * Span flight-recorder dump: @p spans' recent completed timelines
+ * plus every open timeline held in @p pool, in request-id order.
+ */
+std::string flightRecorderJson(const telemetry::SpanTracker& spans,
+                               const engine::RequestPool& pool);
+
+/**
  * Build the cluster, apply the fault plan, arm the seeded bug and
  * the invariant checker, run to completion, and final-check.
  * Violations (including liveness fatals from Cluster::run) are

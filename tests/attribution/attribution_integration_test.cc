@@ -50,7 +50,8 @@ TEST(AttributionIntegrationTest, BreakdownSumsToE2eOnClusterRun)
     EXPECT_EQ(cluster.spanTracker()->liveCount(), 0u);
     EXPECT_EQ(cluster.spanTracker()->completedCount(),
               report.requests.completed());
-    EXPECT_EQ(cluster.spanTracker()->integrityError(), "");
+    // Open timelines live in request rows, and every row retired.
+    EXPECT_EQ(cluster.requestPool().liveCount(), 0u);
 
     const auto& bd = report.breakdown;
     ASSERT_TRUE(bd.enabled);
@@ -144,7 +145,9 @@ TEST(AttributionIntegrationTest, FlowEventsLinkPrefillToDecode)
 
     const auto* rec = cluster.traceRecorder();
     ASSERT_NE(rec, nullptr);
-    EXPECT_FALSE(rec->hasPendingFlows());
+    // Pending handoff marks live in request rows, and every row
+    // retired; the s/f balance below proves each mark was taken.
+    EXPECT_EQ(cluster.requestPool().liveCount(), 0u);
 
     const std::string json = rec->toJson();
     test_json::Checker checker(json);
@@ -246,6 +249,34 @@ TEST(AttributionIntegrationTest, ViolationCapturesFlightRecorder)
               std::string::npos);
     EXPECT_NE(outcome.flightRecorderJson.find("\"live\":["),
               std::string::npos);
+}
+
+TEST(AttributionIntegrationTest, FlightRecorderListsLiveTimelinesInIdOrder)
+{
+    // The dump's live section follows request ids, not pool slots: a
+    // lower id in a later slot still comes first, and rows without
+    // an open timeline are left out.
+    telemetry::SpanTracker spans;
+    engine::RequestPool pool(4);
+    engine::LiveRequest* first = pool.acquire();
+    engine::LiveRequest* untracked = pool.acquire();
+    engine::LiveRequest* second = pool.acquire();
+    ASSERT_LT(first->poolSlot, second->poolSlot);
+    first->spec.id = 20;
+    untracked->spec.id = 5;
+    second->spec.id = 10;
+    spans.transition(first->spans, telemetry::SpanPhase::kQueue, 100);
+    spans.transition(second->spans, telemetry::SpanPhase::kPrefill, 200);
+
+    const std::string json = testing::flightRecorderJson(spans, pool);
+    EXPECT_EQ(json,
+              "{\"recent\":[],\"live\":["
+              "{\"request\":10,\"arrival_us\":200,\"done_us\":-1,"
+              "\"restarts\":0,\"spans\":[{\"phase\":\"prefill\","
+              "\"start_us\":200,\"end_us\":-1}]},"
+              "{\"request\":20,\"arrival_us\":100,\"done_us\":-1,"
+              "\"restarts\":0,\"spans\":[{\"phase\":\"queue\","
+              "\"start_us\":100,\"end_us\":-1}]}]}");
 }
 
 TEST(AttributionIntegrationTest, NoSpanTrackerUnlessEnabled)

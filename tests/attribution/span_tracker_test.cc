@@ -10,15 +10,16 @@ namespace {
 TEST(SpanTrackerTest, LifecycleAttributionSumsToE2e)
 {
     SpanTracker t;
-    const std::uint64_t id = 7;
-    t.transition(id, SpanPhase::kQueue, 0);
-    t.transition(id, SpanPhase::kPrefill, 10000);
-    t.transition(id, SpanPhase::kKvTransfer, 30000);
-    t.transition(id, SpanPhase::kDecode, 34000);
+    RequestSpans r;
+    t.transition(r, SpanPhase::kQueue, 0);
+    t.transition(r, SpanPhase::kPrefill, 10000);
+    t.transition(r, SpanPhase::kKvTransfer, 30000);
+    t.transition(r, SpanPhase::kDecode, 34000);
     EXPECT_EQ(t.liveCount(), 1u);
-    EXPECT_EQ(t.integrityError(), "");
-    t.complete(id, 50000, 1.0);
+    EXPECT_EQ(SpanTracker::timelineDefect(r), nullptr);
+    t.complete(r, 7, 50000, 1.0);
     EXPECT_EQ(t.liveCount(), 0u);
+    EXPECT_FALSE(r.open());
     EXPECT_EQ(t.completedCount(), 1u);
 
     const LatencyBreakdown bd = t.breakdown();
@@ -44,57 +45,58 @@ TEST(SpanTrackerTest, LifecycleAttributionSumsToE2e)
 TEST(SpanTrackerTest, RepeatOfOpenPhaseIsANoOp)
 {
     SpanTracker t;
-    t.transition(1, SpanPhase::kQueue, 0);
-    t.transition(1, SpanPhase::kQueue, 500);
-    const SpanTimeline* tl = t.liveTimeline(1);
-    ASSERT_NE(tl, nullptr);
-    ASSERT_EQ(tl->segments.size(), 1u);
-    EXPECT_EQ(tl->segments[0].startUs, 0);
-    EXPECT_EQ(tl->segments[0].endUs, kSpanOpen);
+    RequestSpans r;
+    t.transition(r, SpanPhase::kQueue, 0);
+    t.transition(r, SpanPhase::kQueue, 500);
+    ASSERT_TRUE(r.open());
+    ASSERT_EQ(r.segments.size(), 1u);
+    EXPECT_EQ(r.segments[0].startUs, 0);
+    EXPECT_EQ(r.segments[0].endUs, kSpanOpen);
 }
 
 TEST(SpanTrackerTest, BrownoutSubstitutesForQueueWhileEngaged)
 {
     SpanTracker t;
+    RequestSpans r1, r2, r3;
     t.setBrownoutLevel(2);
-    t.transition(1, SpanPhase::kQueue, 0);
-    const SpanTimeline* tl = t.liveTimeline(1);
-    ASSERT_NE(tl, nullptr);
-    EXPECT_EQ(tl->segments[0].phase, SpanPhase::kBrownoutStall);
+    t.transition(r1, SpanPhase::kQueue, 0);
+    ASSERT_TRUE(r1.open());
+    EXPECT_EQ(r1.segments[0].phase, SpanPhase::kBrownoutStall);
 
     // Back to normal: a fresh request queues as plain kQueue.
     t.setBrownoutLevel(0);
-    t.transition(2, SpanPhase::kQueue, 100);
-    EXPECT_EQ(t.liveTimeline(2)->segments[0].phase, SpanPhase::kQueue);
+    t.transition(r2, SpanPhase::kQueue, 100);
+    EXPECT_EQ(r2.segments[0].phase, SpanPhase::kQueue);
 
     // Non-queue phases are never substituted.
     t.setBrownoutLevel(1);
-    t.transition(3, SpanPhase::kPrefill, 200);
-    EXPECT_EQ(t.liveTimeline(3)->segments[0].phase, SpanPhase::kPrefill);
+    t.transition(r3, SpanPhase::kPrefill, 200);
+    EXPECT_EQ(r3.segments[0].phase, SpanPhase::kPrefill);
+    EXPECT_EQ(t.liveCount(), 3u);
 }
 
 TEST(SpanTrackerTest, RestartFoldsIncarnationIntoPenalty)
 {
     SpanTracker t;
-    t.transition(9, SpanPhase::kQueue, 1000);
-    t.transition(9, SpanPhase::kPrefill, 2000);
-    t.restart(9, 5000);
+    RequestSpans r;
+    t.transition(r, SpanPhase::kQueue, 1000);
+    t.transition(r, SpanPhase::kPrefill, 2000);
+    t.restart(r, 5000);
 
-    const SpanTimeline* tl = t.liveTimeline(9);
-    ASSERT_NE(tl, nullptr);
-    EXPECT_EQ(tl->restarts, 1);
+    ASSERT_TRUE(r.open());
+    EXPECT_EQ(r.restarts, 1);
     // The queue+prefill work collapsed into one penalty segment.
-    ASSERT_EQ(tl->segments.size(), 1u);
-    EXPECT_EQ(tl->segments[0].phase, SpanPhase::kRestartPenalty);
-    EXPECT_EQ(tl->segments[0].startUs, 1000);
-    EXPECT_EQ(tl->segments[0].endUs, 5000);
+    ASSERT_EQ(r.segments.size(), 1u);
+    EXPECT_EQ(r.segments[0].phase, SpanPhase::kRestartPenalty);
+    EXPECT_EQ(r.segments[0].startUs, 1000);
+    EXPECT_EQ(r.segments[0].endUs, 5000);
 
     // Re-admission reopens at the restart timestamp: contiguous.
-    t.transition(9, SpanPhase::kQueue, 5000);
-    EXPECT_EQ(t.integrityError(), "");
-    t.transition(9, SpanPhase::kPrefill, 6000);
-    t.transition(9, SpanPhase::kDecode, 8000);
-    t.complete(9, 9000, 2.0);
+    t.transition(r, SpanPhase::kQueue, 5000);
+    EXPECT_EQ(SpanTracker::timelineDefect(r), nullptr);
+    t.transition(r, SpanPhase::kPrefill, 6000);
+    t.transition(r, SpanPhase::kDecode, 8000);
+    t.complete(r, 9, 9000, 2.0);
 
     const LatencyBreakdown bd = t.breakdown();
     auto total = [&](SpanPhase p) {
@@ -111,16 +113,16 @@ TEST(SpanTrackerTest, RestartFoldsIncarnationIntoPenalty)
 TEST(SpanTrackerTest, BackToBackRestartsExtendOnePenalty)
 {
     SpanTracker t;
-    t.transition(4, SpanPhase::kQueue, 0);
-    t.restart(4, 1000);
-    t.transition(4, SpanPhase::kQueue, 1000);
-    t.restart(4, 3000);
-    const SpanTimeline* tl = t.liveTimeline(4);
-    ASSERT_NE(tl, nullptr);
-    EXPECT_EQ(tl->restarts, 2);
-    ASSERT_EQ(tl->segments.size(), 1u);
-    EXPECT_EQ(tl->segments[0].startUs, 0);
-    EXPECT_EQ(tl->segments[0].endUs, 3000);
+    RequestSpans r;
+    t.transition(r, SpanPhase::kQueue, 0);
+    t.restart(r, 1000);
+    t.transition(r, SpanPhase::kQueue, 1000);
+    t.restart(r, 3000);
+    ASSERT_TRUE(r.open());
+    EXPECT_EQ(r.restarts, 2);
+    ASSERT_EQ(r.segments.size(), 1u);
+    EXPECT_EQ(r.segments[0].startUs, 0);
+    EXPECT_EQ(r.segments[0].endUs, 3000);
 }
 
 TEST(SpanTrackerTest, ExemplarsKeepWorstKSortedDescending)
@@ -131,10 +133,11 @@ TEST(SpanTrackerTest, ExemplarsKeepWorstKSortedDescending)
     const double slowdowns[] = {1.0, 5.0, 3.0, 4.0};
     sim::TimeUs now = 0;
     std::uint64_t id = 1;
+    RequestSpans r;
     for (double s : slowdowns) {
-        t.transition(id, SpanPhase::kQueue, now);
+        t.transition(r, SpanPhase::kQueue, now);
         now += 100;
-        t.complete(id, now, s);
+        t.complete(r, id, now, s);
         ++id;
     }
     const auto& ex = t.exemplars();
@@ -157,14 +160,15 @@ TEST(SpanTrackerTest, FlightRecorderKeepsMostRecentOldestFirst)
     constexpr std::uint64_t kCompleted =
         SpanTracker::kFlightRecorderCapacity + 2;
     SpanTracker t;
+    RequestSpans r;
     for (std::uint64_t id = 1; id <= kCompleted; ++id) {
-        t.transition(id, SpanPhase::kQueue,
+        t.transition(r, SpanPhase::kQueue,
                      static_cast<sim::TimeUs>(id * 10));
-        t.complete(id, static_cast<sim::TimeUs>(id * 10 + 5), 1.0);
+        t.complete(r, id, static_cast<sim::TimeUs>(id * 10 + 5), 1.0);
     }
-    t.transition(1000, SpanPhase::kPrefill, 5000);  // still live
+    t.transition(r, SpanPhase::kPrefill, 5000);  // still live
 
-    const std::string json = t.flightRecorderJson();
+    const std::string json = t.flightRecorderJson({{1000, &r}});
     // Requests 1 and 2 were evicted; the oldest survivor, 3, opens
     // the recent section and precedes 4 and 258 (oldest first); the
     // live request appears in the "live" section with an open
@@ -191,10 +195,11 @@ TEST(SpanTrackerTest, AttributionJsonCarriesPhasesAndExemplars)
     SpanTrackerConfig config;
     config.exemplarK = 1;
     SpanTracker t(config);
-    t.transition(11, SpanPhase::kQueue, 0);
-    t.transition(11, SpanPhase::kPrefill, 2000);
-    t.transition(11, SpanPhase::kDecode, 7000);
-    t.complete(11, 12000, 3.5);
+    RequestSpans r;
+    t.transition(r, SpanPhase::kQueue, 0);
+    t.transition(r, SpanPhase::kPrefill, 2000);
+    t.transition(r, SpanPhase::kDecode, 7000);
+    t.complete(r, 11, 12000, 3.5);
 
     const std::string json = t.attributionJson();
     EXPECT_NE(json.find("\"requests\":1"), std::string::npos);
@@ -207,39 +212,40 @@ TEST(SpanTrackerTest, AttributionJsonCarriesPhasesAndExemplars)
     EXPECT_NE(json.find("\"spans\":["), std::string::npos);
 }
 
-TEST(SpanTrackerTest, SlotsAreRecycledAcrossRequests)
+TEST(SpanTrackerTest, TimelineDefectNamesBrokenStructure)
 {
     SpanTracker t;
-    for (std::uint64_t id = 1; id <= 100; ++id) {
-        t.transition(id, SpanPhase::kQueue,
-                     static_cast<sim::TimeUs>(id));
-        t.transition(id, SpanPhase::kDecode,
-                     static_cast<sim::TimeUs>(id + 1));
-        t.complete(id, static_cast<sim::TimeUs>(id + 2), 1.0);
-    }
-    EXPECT_EQ(t.liveCount(), 0u);
-    EXPECT_EQ(t.completedCount(), 100u);
-    // A recycled slot starts a fresh timeline, not a stale one.
-    t.transition(500, SpanPhase::kQueue, 1000);
-    const SpanTimeline* tl = t.liveTimeline(500);
-    ASSERT_NE(tl, nullptr);
-    EXPECT_EQ(tl->requestId, 500u);
-    EXPECT_EQ(tl->restarts, 0);
-    EXPECT_EQ(tl->arrivalUs, 1000);
-    EXPECT_EQ(tl->segments.size(), 1u);
-    EXPECT_EQ(t.integrityError(), "");
+    RequestSpans r;
+    EXPECT_STREQ(SpanTracker::timelineDefect(r), "timeline has no segments");
+    t.transition(r, SpanPhase::kQueue, 100);
+    t.transition(r, SpanPhase::kPrefill, 200);
+    EXPECT_EQ(SpanTracker::timelineDefect(r), nullptr);
+
+    RequestSpans closed = r;
+    closed.segments.back().endUs = 300;
+    EXPECT_STREQ(SpanTracker::timelineDefect(closed),
+                 "live timeline has no open segment");
+    RequestSpans gap = r;
+    gap.segments.back().startUs = 250;
+    EXPECT_STREQ(SpanTracker::timelineDefect(gap), "gap between segments");
+    RequestSpans late = r;
+    late.arrivalUs = 50;
+    EXPECT_STREQ(SpanTracker::timelineDefect(late),
+                 "first segment does not start at arrival");
 }
 
 TEST(SpanTrackerDeathTest, CompleteForUntrackedRequestPanics)
 {
     SpanTracker t;
-    EXPECT_DEATH(t.complete(99, 0, 1.0), "untracked");
+    RequestSpans r;
+    EXPECT_DEATH(t.complete(r, 99, 0, 1.0), "untracked");
 }
 
 TEST(SpanTrackerDeathTest, RestartForUntrackedRequestPanics)
 {
     SpanTracker t;
-    EXPECT_DEATH(t.restart(99, 0), "untracked");
+    RequestSpans r;
+    EXPECT_DEATH(t.restart(r, 0), "untracked");
 }
 
 }  // namespace

@@ -107,6 +107,44 @@ TEST(InvariantCheckerTest, CatchesPlantedOrphanKvBlock)
     EXPECT_LT(outcome.violationTime, sim::secondsToUs(4));
 }
 
+/** span-balance must bite: an event that closes a routed request's
+ *  open segment (a lost phase transition) leaves a live timeline with
+ *  no open segment, and the next quiescent point reports it. */
+TEST(InvariantCheckerTest, CatchesBrokenSpanTimeline)
+{
+    core::SimConfig config;
+    config.telemetry.spanTracking = true;
+    core::Cluster cluster(model::llama2_70b(), core::splitwiseHH(2, 2),
+                          config);
+    InvariantOptions options;
+    options.spanCheckEveryNth = 1;
+    InvariantChecker checker(cluster, options);
+    const sim::TimeUs at = sim::secondsToUs(2.0);
+    const engine::LiveRequest* victim = nullptr;
+    cluster.simulator().post(at, [&cluster, &victim] {
+        cluster.requestPool().forEachLive(
+            [&](const engine::LiveRequest& req) {
+                if (victim || req.terminal() || req.promptMachine < 0)
+                    return;
+                // The pool hands out const rows; the test plants the
+                // defect behind the tracker's back on purpose.
+                auto& spans = const_cast<engine::LiveRequest&>(req).spans;
+                spans.segments.back().endUs = cluster.simulator().now();
+                victim = &req;
+            });
+    });
+    try {
+        cluster.run(smallTrace(5));
+        FAIL() << "span-balance never fired";
+    } catch (const InvariantViolation& v) {
+        ASSERT_NE(victim, nullptr);
+        EXPECT_EQ(v.invariant(), "span-balance");
+        EXPECT_EQ(v.at(), at);
+        EXPECT_EQ(v.detail(), "request " + std::to_string(victim->spec.id) +
+                                  ": live timeline has no open segment");
+    }
+}
+
 TEST(InvariantCheckerTest, ViolationCarriesEvidence)
 {
     Scenario s;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/request_pool.h"
+#include "telemetry/span_tracker.h"
+
 namespace splitwise::engine {
 namespace {
 
@@ -99,6 +102,55 @@ TEST(LiveRequestTest, PhaseNamesAreStable)
     EXPECT_STREQ(requestPhaseName(RequestPhase::kTransferring),
                  "transferring");
     EXPECT_STREQ(requestPhaseName(RequestPhase::kDone), "done");
+}
+
+TEST(LiveRequestTest, KvFlowMarkSurvivesRestart)
+{
+    // The trace's handoff arrow still owes its flowEnd after a crash
+    // re-admits the request; only the first decode iteration clears it.
+    LiveRequest r = makeRequest(100, 5);
+    r.kvFlowPending = true;
+    r.resetForRestart();
+    EXPECT_TRUE(r.kvFlowPending);
+}
+
+TEST(RequestPoolTest, RecycledRowStartsFreshButKeepsSegmentCapacity)
+{
+    using telemetry::SpanPhase;
+    telemetry::SpanTracker t;
+    RequestPool pool(4);
+    std::size_t capacity = 0;
+    for (std::uint64_t id = 1; id <= 100; ++id) {
+        LiveRequest* row = pool.acquire();
+        row->spec.id = id;
+        t.transition(row->spans, SpanPhase::kQueue,
+                     static_cast<sim::TimeUs>(id));
+        t.transition(row->spans, SpanPhase::kDecode,
+                     static_cast<sim::TimeUs>(id + 1));
+        row->kvFlowPending = true;
+        t.complete(row->spans, id, static_cast<sim::TimeUs>(id + 2), 1.0);
+        capacity = row->spans.segments.capacity();
+        pool.release(row);
+    }
+    EXPECT_EQ(t.liveCount(), 0u);
+    EXPECT_EQ(t.completedCount(), 100u);
+    ASSERT_GE(capacity, 2u);
+
+    // A recycled row starts with no timeline and a clear flow mark,
+    // but its segment buffer keeps the capacity it grew to.
+    LiveRequest* row = pool.acquire();
+    EXPECT_FALSE(row->spans.open());
+    EXPECT_FALSE(row->kvFlowPending);
+    EXPECT_EQ(row->spans.segments.capacity(), capacity);
+
+    // ...and a fresh timeline, not a stale one.
+    row->spec.id = 500;
+    t.transition(row->spans, SpanPhase::kQueue, 1000);
+    EXPECT_EQ(row->spans.restarts, 0);
+    EXPECT_EQ(row->spans.arrivalUs, 1000);
+    EXPECT_EQ(row->spans.segments.size(), 1u);
+    EXPECT_EQ(telemetry::SpanTracker::timelineDefect(row->spans), nullptr);
+    EXPECT_EQ(t.liveCount(), 1u);
 }
 
 }  // namespace

@@ -64,6 +64,8 @@ tools/check_perfbench_digests.sh
 
 step "DST smoke: bench_dst --short (fuzz + invariant checker)"
 build/bench/bench_dst --short --jobs 4
+step "DST smoke with span tracking forced on (span-balance in every scenario)"
+build/bench/bench_dst --short --spans on --jobs 4
 
 step "telemetry smoke: bench_chaos with trace + timeseries"
 build/bench/bench_chaos \
