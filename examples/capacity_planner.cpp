@@ -41,9 +41,12 @@ main(int argc, char** argv)
 
     const std::string workload_name = argc > 1 ? argv[1] : "conversation";
     double target_rps = 50.0;
-    if (argc > 2 && !parseRps(argv[2], target_rps)) {
+    const bool known_workload =
+        workload_name == "coding" || workload_name == "conversation";
+    if (!known_workload || (argc > 2 && !parseRps(argv[2], target_rps))) {
         std::fprintf(stderr,
                      "usage: capacity_planner [workload] [target_rps]\n"
+                     "  workload: coding or conversation (default)\n"
                      "  target_rps: positive request rate (default 50)\n");
         return 2;
     }

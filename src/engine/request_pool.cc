@@ -57,6 +57,8 @@ RequestPool::acquire()
     ++version_;
     if (liveCount_ > highWater_)
         highWater_ = liveCount_;
+    if (slot >= usedSlots_)
+        usedSlots_ = slot + 1;
     return row;
 }
 

@@ -82,13 +82,14 @@ class RequestPool {
 
     /**
      * Visit every live request in slot-index order. The visitor must
-     * not acquire or release slots.
+     * not acquire or release slots. The walk stops past the highest
+     * slot ever handed out, so a mostly idle slab costs nothing.
      */
     template <typename Fn>
     void
     forEachLive(Fn&& fn) const
     {
-        for (std::size_t slot = 0; slot < liveBits_.size(); ++slot) {
+        for (std::size_t slot = 0; slot < usedSlots_; ++slot) {
             if (liveBits_[slot])
                 fn(*rowAt(slot));
         }
@@ -108,6 +109,8 @@ class RequestPool {
 
     std::size_t liveCount_ = 0;
     std::size_t highWater_ = 0;
+    /** One past the highest slot ever acquired. */
+    std::size_t usedSlots_ = 0;
     std::uint64_t acquiredTotal_ = 0;
     std::uint64_t version_ = 0;
     bool recycle_ = true;

@@ -211,22 +211,20 @@ SpanTracker::breakdown() const
 }
 
 void
-SpanTracker::appendTimelineJson(std::string& out, std::uint64_t id,
-                                sim::TimeUs arrival_us, sim::TimeUs done_us,
-                                int restarts,
-                                const std::vector<SpanSegment>& segments)
+SpanTracker::appendTimelineJson(std::string& out,
+                                const SpanTimeline& timeline)
 {
     out += "{\"request\":";
-    out += std::to_string(id);
+    out += std::to_string(timeline.requestId);
     out += ",\"arrival_us\":";
-    out += std::to_string(arrival_us);
+    out += std::to_string(timeline.arrivalUs);
     out += ",\"done_us\":";
-    out += std::to_string(done_us);
+    out += std::to_string(timeline.doneUs);
     out += ",\"restarts\":";
-    out += std::to_string(restarts);
+    out += std::to_string(timeline.restarts);
     out += ",\"spans\":[";
-    for (std::size_t i = 0; i < segments.size(); ++i) {
-        const auto& seg = segments[i];
+    for (std::size_t i = 0; i < timeline.segments.size(); ++i) {
+        const auto& seg = timeline.segments[i];
         if (i)
             out += ',';
         out += "{\"phase\":\"";
@@ -279,9 +277,7 @@ SpanTracker::attributionJson() const
         out += "{\"slowdown\":";
         appendNum(out, exemplars_[i].slowdown);
         out += ",\"timeline\":";
-        const SpanTimeline& tl = exemplars_[i].timeline;
-        appendTimelineJson(out, tl.requestId, tl.arrivalUs, tl.doneUs,
-                           tl.restarts, tl.segments);
+        appendTimelineJson(out, exemplars_[i].timeline);
         out += '}';
     }
     out += "]}";
@@ -289,28 +285,23 @@ SpanTracker::attributionJson() const
 }
 
 std::string
-SpanTracker::flightRecorderJson(
-    const std::vector<std::pair<std::uint64_t, const RequestSpans*>>& live)
-    const
+SpanTracker::flightRecorderJson(const std::vector<SpanTimeline>& live) const
 {
     std::string out;
     out += "{\"recent\":[";
     // Oldest first: the ring's logical order starts at ringNext_,
     // which equals ring_.size() until the ring fills.
     for (std::size_t i = 0; i < ring_.size(); ++i) {
-        const SpanTimeline& tl = ring_[(ringNext_ + i) % ring_.size()];
+        const std::size_t idx = (ringNext_ + i) % ring_.size();
         if (i)
             out += ',';
-        appendTimelineJson(out, tl.requestId, tl.arrivalUs, tl.doneUs,
-                           tl.restarts, tl.segments);
+        appendTimelineJson(out, ring_[idx]);
     }
     out += "],\"live\":[";
     for (std::size_t i = 0; i < live.size(); ++i) {
-        const RequestSpans& spans = *live[i].second;
         if (i)
             out += ',';
-        appendTimelineJson(out, live[i].first, spans.arrivalUs, kSpanOpen,
-                           spans.restarts, spans.segments);
+        appendTimelineJson(out, live[i]);
     }
     out += "]}";
     return out;

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "metrics/summary.h"
@@ -224,18 +223,15 @@ class SpanTracker {
      * Flight-recorder dump: the most recent completed timelines
      * (oldest first) plus the caller's still-open ones, as JSON.
      * Written when a DST invariant fires so the last moments before
-     * the violation are reconstructable. @p live lists (request id,
-     * span state) pairs in dump order.
+     * the violation are reconstructable. @p live is dumped in the
+     * order given.
      */
     std::string flightRecorderJson(
-        const std::vector<std::pair<std::uint64_t, const RequestSpans*>>&
-            live) const;
+        const std::vector<SpanTimeline>& live) const;
 
   private:
-    static void appendTimelineJson(std::string& out, std::uint64_t id,
-                                   sim::TimeUs arrival_us,
-                                   sim::TimeUs done_us, int restarts,
-                                   const std::vector<SpanSegment>& segments);
+    static void appendTimelineJson(std::string& out,
+                                   const SpanTimeline& timeline);
 
     SpanTrackerConfig config_;
     int brownoutLevel_ = 0;

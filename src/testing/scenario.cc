@@ -302,12 +302,17 @@ flightRecorderJson(const telemetry::SpanTracker& spans,
 {
     // Open timelines live in the request rows; dump them in id order,
     // not slot order, so the bytes depend only on the run.
-    std::vector<std::pair<std::uint64_t, const telemetry::RequestSpans*>> live;
+    std::vector<telemetry::SpanTimeline> live;
     pool.forEachLive([&](const engine::LiveRequest& req) {
         if (req.spans.open())
-            live.emplace_back(req.spec.id, &req.spans);
+            live.push_back({req.spec.id, req.spans.arrivalUs,
+                            telemetry::kSpanOpen, req.spans.restarts,
+                            req.spans.segments});
     });
-    std::sort(live.begin(), live.end());
+    std::sort(live.begin(), live.end(),
+              [](const auto& a, const auto& b) {
+                  return a.requestId < b.requestId;
+              });
     return spans.flightRecorderJson(live);
 }
 

@@ -168,7 +168,8 @@ TEST(SpanTrackerTest, FlightRecorderKeepsMostRecentOldestFirst)
     }
     t.transition(r, SpanPhase::kPrefill, 5000);  // still live
 
-    const std::string json = t.flightRecorderJson({{1000, &r}});
+    const std::string json = t.flightRecorderJson(
+        {{1000, r.arrivalUs, kSpanOpen, r.restarts, r.segments}});
     // Requests 1 and 2 were evicted; the oldest survivor, 3, opens
     // the recent section and precedes 4 and 258 (oldest first); the
     // live request appears in the "live" section with an open

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "engine/request_pool.h"
 #include "telemetry/span_tracker.h"
 
@@ -151,6 +153,31 @@ TEST(RequestPoolTest, RecycledRowStartsFreshButKeepsSegmentCapacity)
     EXPECT_EQ(row->spans.segments.size(), 1u);
     EXPECT_EQ(telemetry::SpanTracker::timelineDefect(row->spans), nullptr);
     EXPECT_EQ(t.liveCount(), 1u);
+}
+
+TEST(RequestPoolTest, ForEachLiveVisitsLiveSlotsInOrderAcrossSlabs)
+{
+    RequestPool pool(2);
+    LiveRequest* first = pool.acquire();
+    LiveRequest* second = pool.acquire();
+    pool.acquire();  // slot 2 opens the second slab
+    pool.release(second);
+    EXPECT_EQ(pool.acquire(), second);  // LIFO reuse
+    auto visited = [&pool] {
+        std::vector<std::uint32_t> slots;
+        pool.forEachLive(
+            [&](const LiveRequest& req) { slots.push_back(req.poolSlot); });
+        return slots;
+    };
+    EXPECT_EQ(visited(), (std::vector<std::uint32_t>{0, 1, 2}));
+
+    // Without recycling, fresh slots are handed out - the rest of the
+    // second slab, then a third slab - and the walk reaches them.
+    pool.setRecycling(false);
+    pool.release(first);
+    EXPECT_EQ(pool.acquire()->poolSlot, 3u);
+    EXPECT_EQ(pool.acquire()->poolSlot, 4u);
+    EXPECT_EQ(visited(), (std::vector<std::uint32_t>{1, 2, 3, 4}));
 }
 
 }  // namespace
