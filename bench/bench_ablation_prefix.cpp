@@ -21,9 +21,10 @@
 int
 main(int argc, char** argv)
 {
-    splitwise::bench::parseBenchArgs(argc, argv, "bench_ablation_prefix",
-        "Ablation: session prefix-cache KV reuse vs full recompute");
     using namespace splitwise;
+    bench::parseBenchArgs(argc, argv, "bench_ablation_prefix",
+        "Ablation: session prefix-cache KV reuse vs full recompute",
+        bench::kSinks | bench::kSpans | bench::kShort);
     using metrics::Table;
     const bench::BenchArgs& args = bench::benchArgs();
 

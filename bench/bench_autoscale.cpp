@@ -117,7 +117,8 @@ main(int argc, char** argv)
         "bench_autoscale",
         "SLO-driven online autoscaling: diurnal + flash-crowd traffic "
         "under auto / static-peak / static-trough provisioning, plus a "
-        "fault-storm soak with the DST invariant catalog armed");
+        "fault-storm soak with the DST invariant catalog armed",
+        bench::kSinks | bench::kSpans | bench::kJobs | bench::kShort);
     std::string report_out;
     parser.addString("--report-out", &report_out,
                      "write every run's full report JSON (determinism "
@@ -250,8 +251,8 @@ main(int argc, char** argv)
                                   std::to_string(ctl.brownoutTransitions)
                             : "-",
             };
-            bench::writeTelemetryOutputs(cluster, res.report,
-                                         static_cast<int>(index));
+            core::writeSinks(cluster, res.report, args.sinks,
+                             static_cast<int>(index));
             return res;
         });
 

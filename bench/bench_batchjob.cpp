@@ -43,9 +43,10 @@ sustainedRps(const splitwise::core::RunReport& report)
 int
 main(int argc, char** argv)
 {
-    splitwise::bench::parseBenchArgs(argc, argv, "bench_batchjob",
-        "Batch-job throughput on mixed request sizes");
     using namespace splitwise;
+    bench::parseBenchArgs(argc, argv, "bench_batchjob",
+        "Batch-job throughput on mixed request sizes",
+        bench::kSinks | bench::kSpans | bench::kPolicy);
     using metrics::Table;
     using provision::DesignKind;
 

@@ -54,7 +54,9 @@ main(int argc, char** argv)
     auto parser = bench::benchParser(
         "bench_chaos",
         "Chaos soak: iso-power Splitwise-HH under a seeded fault storm "
-        "vs fault-free, with full request accounting");
+        "vs fault-free, with full request accounting",
+        bench::kSinks | bench::kSpans | bench::kJobs | bench::kRuns |
+            bench::kShort);
     std::string seed_arg;
     parser.addPositional("storm_seed", &seed_arg,
                          "base storm seed (default 2024)");
@@ -186,8 +188,8 @@ main(int argc, char** argv)
                 if (err > 0.01)
                     res.telemetryConsistent = false;
             }
-            bench::writeTelemetryOutputs(cluster, res.report,
-                                         static_cast<int>(index));
+            core::writeSinks(cluster, res.report, args.sinks,
+                             static_cast<int>(index));
             return res;
         });
 

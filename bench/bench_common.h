@@ -10,35 +10,30 @@
  * simulator covers a 40-machine, 100+ RPS cluster trace in well
  * under a second, so every bench still finishes in seconds.
  *
- * Every bench accepts the shared flags (registered on the typed
- * bench::ArgParser by benchParser, applied by cliRunOptions):
+ * A bench registers only the shared flag groups it acts on
+ * (benchParser's FlagGroup bitmask); any other flag is unknown and
+ * ArgParser exits 2.
  *
- *   --trace-out=PATH        Perfetto/Chrome trace JSON per cluster
- *                           run (open in ui.perfetto.dev).
- *   --timeseries-out=PATH   Sampled cluster metrics as CSV.
- *   --breakdown-out=PATH    Latency-attribution JSON per cluster run
- *                           (per-phase breakdown + SLO-offender
- *                           exemplar timelines); implies span
- *                           tracking. No-op in telemetry-off builds.
- *   --exemplars=K           Worst-offender timelines retained per run
- *                           (default 3).
- *   --spans=MODE            Span tracking: auto (follow
- *                           --breakdown-out), on (track without
- *                           writing files; the perf probe's A/B
- *                           switch), or off.
- *   --sample-interval-ms=N  Sampling grid (default 1000 ms);
- *                           implies sampling when --timeseries-out
- *                           is given.
- *   --jobs=N                Concurrent simulations for multi-run
- *                           benches (default hardware_concurrency;
- *                           --jobs=1 is the exact serial path).
- *   --policy=NAME           Scheduling policy, resolved through
- *                           sched::parsePolicyKind() (default,
- *                           prefix); unset keeps the bench's own
- *                           choice.
- *   --runs=N                Repetition count for benches that soak
- *                           over seeds (bench_chaos).
- *   --short                 Reduced-duration smoke variant for CI.
+ *   kSinks   --trace-out, --timeseries-out, --breakdown-out (files
+ *            per cluster run; each switches its collection on),
+ *            --exemplars=K, --sample-interval-ms=N
+ *   kSpans   --spans=auto|on|off (on: track without writing files,
+ *            the span-overhead probe's A/B switch)
+ *   kPolicy  --policy=NAME (unset keeps the bench's own choice)
+ *   kJobs    --jobs=N (0 = hardware default, 1 = exact serial path)
+ *   kRuns    --runs=N (bench_chaos storm seeds)
+ *   kShort   --short (reduced-duration smoke variant for CI)
+ *
+ *   kSinks|kSpans|kPolicy       batchjob, fig04, fig15, fig16, fig17,
+ *                               fig20; fig05 adds kShort
+ *   kSinks|kSpans|kShort        ablation_prefix (the policy is the
+ *                               variable it compares)
+ *   kSinks|kSpans|kJobs|kShort  autoscale; chaos adds kRuns
+ *   kSpans|kJobs|kShort         dst
+ *   kSpans|kJobs                fig12
+ *   kJobs                       fig18, fig19
+ *   kShort                      events, scale
+ *   (none)                      the other 13 benches
  *
  * Benches that run several clusters suffix the path with the run
  * index before the extension (trace.json, trace.1.json, ...).
@@ -129,26 +124,26 @@ makeTrace(const workload::Workload& w, double rps, double seconds,
     return gen.generate(rps, sim::secondsToUs(seconds));
 }
 
-/** Output/parallelism options shared by every bench binary. */
+/** The shared flag groups; benchParser takes a bitmask of them. */
+enum FlagGroup : unsigned {
+    kSinks = 1u << 0,
+    kSpans = 1u << 1,
+    kPolicy = 1u << 2,
+    kJobs = 1u << 3,
+    kRuns = 1u << 4,
+    kShort = 1u << 5,
+};
+
+/** The parsed shared flags (see the file comment). */
 struct BenchArgs {
-    /** Perfetto trace destination; empty disables tracing. */
-    std::string traceOut;
-    /** Time-series CSV destination; empty disables sampling. */
-    std::string timeseriesOut;
-    /** Attribution JSON destination; empty disables span tracking. */
-    std::string breakdownOut;
-    /**
-     * Span tracking override (`--spans`): "auto" follows
-     * --breakdown-out, "on" tracks without writing attribution files
-     * (how the perf probe prices tracing), "off" forces it off.
-     */
+    /** Telemetry file destinations, unsuffixed; empty = disabled. */
+    core::RunSinks sinks;
+    /** Span tracking override (`--spans`): auto, on or off. */
     std::string spans = "auto";
     /** SLO-offender exemplar timelines retained (`--exemplars`). */
     int exemplars = 3;
-    /** Sampling grid spacing as parsed (`--sample-interval-ms`). */
+    /** Sampling grid spacing (`--sample-interval-ms`). */
     double sampleIntervalMs = 1000.0;
-    /** Sampling grid spacing (derived from sampleIntervalMs). */
-    sim::TimeUs sampleIntervalUs = sim::msToUs(1000.0);
     /** Worker count for multi-run benches; 0 = hardware default. */
     int jobs = 0;
     /** Repetition count for seed-soak benches. */
@@ -162,18 +157,11 @@ struct BenchArgs {
     /** Reduced-duration smoke variant (`--short`). */
     bool shortRun = false;
     /**
-     * Cluster runs completed so far (output-file suffixing). Atomic
-     * because parallel benches finish runs concurrently; drivers
-     * that need deterministic file names pass an explicit index to
-     * writeTelemetryOutputs instead.
+     * Serial cluster runs started so far (output-file suffixing by
+     * cliRunOptions). Parallel benches index their files by input
+     * index through core::writeSinks instead.
      */
     std::atomic<int> runIndex{0};
-
-    bool any() const
-    {
-        return !traceOut.empty() || !timeseriesOut.empty() ||
-               !breakdownOut.empty();
-    }
 };
 
 /** The process-wide parsed bench arguments. */
@@ -185,60 +173,80 @@ benchArgs()
 }
 
 /**
- * Build the bench's ArgParser with the shared flags pre-registered
- * (see the file comment). The bench adds its own flags, then calls
- * parse(argc, argv); `--help` and unknown-flag handling come for
- * free.
+ * Build the bench's ArgParser with the shared flags of @p groups
+ * (a FlagGroup bitmask) registered and validated. The bench adds its
+ * own flags, then calls parse(argc, argv); `--help` and unknown-flag
+ * handling come for free.
  */
 inline ArgParser
-benchParser(const std::string& program, const std::string& summary)
+benchParser(const std::string& program, const std::string& summary,
+            unsigned groups = 0)
 {
     ArgParser parser(program, summary);
     BenchArgs& args = benchArgs();
-    parser.addString("--trace-out", &args.traceOut,
-                     "write a Perfetto/Chrome trace JSON per cluster run");
-    parser.addString("--timeseries-out", &args.timeseriesOut,
-                     "write sampled cluster metrics as CSV");
-    parser.addString("--breakdown-out", &args.breakdownOut,
-                     "write latency-attribution JSON per cluster run");
-    parser.addInt("--exemplars", &args.exemplars,
-                  "SLO-offender exemplar timelines retained per run");
-    parser.addString("--spans", &args.spans,
-                     "span tracking: auto (follow --breakdown-out), "
-                     "on, or off");
-    parser.addDouble("--sample-interval-ms", &args.sampleIntervalMs,
-                     "time-series sampling grid in milliseconds");
-    parser.addInt("--jobs", &args.jobs,
-                  "concurrent simulations (0 = hardware default; "
-                  "1 = exact serial path)");
-    parser.addInt("--runs", &args.runs,
-                  "repetition count for seed-soak benches");
-    parser.addString("--policy", &args.policy,
-                     "scheduling policy (" + sched::policyNames() +
-                         "; default: the bench's own)");
-    parser.addFlag("--short", &args.shortRun,
-                   "reduced-duration smoke variant for CI");
-    parser.addValidator([&args] {
-        if (args.sampleIntervalMs <= 0)
-            sim::fatal("--sample-interval-ms must be positive");
-        args.sampleIntervalUs = sim::msToUs(args.sampleIntervalMs);
-        if (args.jobs < 0)
-            sim::fatal("--jobs must be >= 0 (0 = hardware default)");
-        if (args.runs < 1)
-            sim::fatal("--runs must be >= 1");
-        if (args.exemplars < 0)
-            sim::fatal("--exemplars must be >= 0");
-        if (args.spans != "auto" && args.spans != "on" &&
-            args.spans != "off")
-            sim::fatal("--spans must be auto, on, or off");
-        if (args.spans == "off" && !args.breakdownOut.empty())
-            sim::fatal("--spans=off contradicts --breakdown-out");
-        sched::PolicyKind kind = sched::PolicyKind::kDefault;
-        if (!args.policy.empty() &&
-            !sched::parsePolicyKind(args.policy, &kind))
-            sim::fatal("--policy: unknown policy '" + args.policy +
-                       "' (known: " + sched::policyNames() + ")");
-    });
+    if (groups & kSinks) {
+        parser.addString("--trace-out", &args.sinks.tracePath,
+                         "write a Perfetto/Chrome trace JSON per cluster run");
+        parser.addString("--timeseries-out", &args.sinks.timeseriesPath,
+                         "write sampled cluster metrics as CSV");
+        parser.addString("--breakdown-out", &args.sinks.breakdownPath,
+                         "write latency-attribution JSON per cluster run");
+        parser.addInt("--exemplars", &args.exemplars,
+                      "SLO-offender exemplar timelines retained per run");
+        parser.addDouble("--sample-interval-ms", &args.sampleIntervalMs,
+                         "time-series sampling grid in milliseconds");
+        parser.addValidator([&args] {
+            if (args.sampleIntervalMs <= 0)
+                sim::fatal("--sample-interval-ms must be positive");
+            if (args.exemplars < 0)
+                sim::fatal("--exemplars must be >= 0");
+        });
+    }
+    if (groups & kSpans) {
+        parser.addString("--spans", &args.spans,
+                         "span tracking: auto (follow --breakdown-out), "
+                         "on, or off");
+        parser.addValidator([&args] {
+            if (args.spans != "auto" && args.spans != "on" &&
+                args.spans != "off")
+                sim::fatal("--spans must be auto, on, or off");
+            if (args.spans == "off" && !args.sinks.breakdownPath.empty())
+                sim::fatal("--spans=off contradicts --breakdown-out");
+        });
+    }
+    if (groups & kJobs) {
+        parser.addInt("--jobs", &args.jobs,
+                      "concurrent simulations (0 = hardware default; "
+                      "1 = exact serial path)");
+        parser.addValidator([&args] {
+            if (args.jobs < 0)
+                sim::fatal("--jobs must be >= 0 (0 = hardware default)");
+        });
+    }
+    if (groups & kRuns) {
+        parser.addInt("--runs", &args.runs,
+                      "repetition count for seed-soak benches");
+        parser.addValidator([&args] {
+            if (args.runs < 1)
+                sim::fatal("--runs must be >= 1");
+        });
+    }
+    if (groups & kPolicy) {
+        parser.addString("--policy", &args.policy,
+                         "scheduling policy (" + sched::policyNames() +
+                             "; default: the bench's own)");
+        parser.addValidator([&args] {
+            sched::PolicyKind kind = sched::PolicyKind::kDefault;
+            if (!args.policy.empty() &&
+                !sched::parsePolicyKind(args.policy, &kind))
+                sim::fatal("--policy: unknown policy '" + args.policy +
+                           "' (known: " + sched::policyNames() + ")");
+        });
+    }
+    if (groups & kShort) {
+        parser.addFlag("--short", &args.shortRun,
+                       "reduced-duration smoke variant for CI");
+    }
     return parser;
 }
 
@@ -248,9 +256,9 @@ benchParser(const std::string& program, const std::string& summary)
  */
 inline void
 parseBenchArgs(int argc, char** argv, const std::string& program,
-               const std::string& summary)
+               const std::string& summary, unsigned groups = 0)
 {
-    benchParser(program, summary).parse(argc, argv);
+    benchParser(program, summary, groups).parse(argc, argv);
 }
 
 /** The resolved `--jobs` value: explicit flag or hardware default. */
@@ -262,129 +270,56 @@ effectiveJobs()
 }
 
 /**
- * Apply an explicit `--policy` selection to @p config; without the
- * flag the bench's own policy choice stands.
+ * Turn the parsed bench flags into per-run telemetry switches: the
+ * one place the CLI reaches SimConfig::telemetry.
  */
-inline void
-applyPolicyCli(core::SimConfig& config)
-{
-    const BenchArgs& args = benchArgs();
-    if (args.policy.empty())
-        return;
-    if (!sched::parsePolicyKind(args.policy, &config.policy.kind))
-        sim::fatal("--policy: unknown policy '" + args.policy + "'");
-}
-
-/** Turn the parsed bench flags into per-run telemetry switches. */
 inline void
 applyTelemetryCli(core::SimConfig& config)
 {
     const BenchArgs& args = benchArgs();
-    if (!args.traceOut.empty())
+    if (!args.sinks.tracePath.empty())
         config.telemetry.traceEnabled = true;
-    if (!args.timeseriesOut.empty())
-        config.telemetry.sampleIntervalUs = args.sampleIntervalUs;
-    if (!args.breakdownOut.empty() || args.spans == "on")
+    if (!args.sinks.timeseriesPath.empty())
+        config.telemetry.sampleIntervalUs = sim::msToUs(args.sampleIntervalMs);
+    if (!args.sinks.breakdownPath.empty() || args.spans == "on")
         config.telemetry.spanTracking = true;
     if (args.spans == "off")
         config.telemetry.spanTracking = false;
     config.telemetry.exemplarK = args.exemplars;
 }
 
-/**
- * The parsed bench CLI as core run inputs: telemetry sinks (suffixed
- * with @p index for multi-run benches) plus the sampling grid applied
- * to @p sim.
- */
+/** The parsed sink paths suffixed with run index @p index. */
 inline core::RunSinks
-cliRunSinks(core::SimConfig& sim, int index = 0)
+cliRunSinks(int index)
 {
-    const BenchArgs& args = benchArgs();
-    core::RunSinks sinks;
-    if (!args.traceOut.empty())
-        sinks.tracePath = core::indexedSinkPath(args.traceOut, index);
-    if (!args.timeseriesOut.empty()) {
-        sinks.timeseriesPath =
-            core::indexedSinkPath(args.timeseriesOut, index);
-        sim.telemetry.sampleIntervalUs = args.sampleIntervalUs;
+    core::RunSinks sinks = benchArgs().sinks;
+    for (std::string* path : {&sinks.tracePath, &sinks.timeseriesPath,
+                              &sinks.breakdownPath}) {
+        if (!path->empty())
+            *path = core::indexedSinkPath(*path, index);
     }
-    if (!args.breakdownOut.empty())
-        sinks.breakdownPath = core::indexedSinkPath(args.breakdownOut, index);
-    sim.telemetry.exemplarK = args.exemplars;
     return sinks;
 }
 
 /**
- * Write one run's telemetry files (when requested) under an explicit
- * run index. Safe to call from RunPool workers: distinct indices
- * write distinct files and nothing shared is mutated.
- */
-inline void
-writeTelemetryOutputs(core::Cluster& cluster, const core::RunReport& report,
-                      int index)
-{
-    BenchArgs& args = benchArgs();
-    if (!args.any())
-        return;
-    if (!args.traceOut.empty() && cluster.traceRecorder()) {
-        const auto path = core::indexedSinkPath(args.traceOut, index);
-        cluster.traceRecorder()->writeFile(path);
-        std::printf("wrote trace %s (%zu events)\n", path.c_str(),
-                    cluster.traceRecorder()->eventCount());
-    }
-    if (!args.timeseriesOut.empty() && !report.timeseries.empty()) {
-        const auto path = core::indexedSinkPath(args.timeseriesOut, index);
-        report.timeseries.writeCsv(path);
-        std::printf("wrote timeseries %s (%zu rows)\n", path.c_str(),
-                    report.timeseries.rows.size());
-    }
-    if (!args.breakdownOut.empty() && cluster.spanTracker()) {
-        const auto path = core::indexedSinkPath(args.breakdownOut, index);
-        const std::string json = cluster.spanTracker()->attributionJson();
-        std::FILE* file = std::fopen(path.c_str(), "w");
-        if (!file)
-            sim::fatal("cannot write breakdown file " + path);
-        std::fwrite(json.data(), 1, json.size(), file);
-        std::fclose(file);
-        std::printf("wrote breakdown %s (%zu requests)\n", path.c_str(),
-                    cluster.spanTracker()->completedCount());
-    }
-}
-
-/**
- * Write the run's telemetry files (when requested) and advance the
- * shared run index so serial multi-run benches produce one file set
- * per run.
- */
-inline void
-writeTelemetryOutputs(core::Cluster& cluster, const core::RunReport& report)
-{
-    BenchArgs& args = benchArgs();
-    if (!args.any())
-        return;
-    writeTelemetryOutputs(cluster, report,
-                          args.runIndex.fetch_add(1));
-}
-
-/**
  * The parsed bench CLI as a complete core::RunOptions for one trace:
- * policy selection, telemetry sinks (advancing the shared run index
- * so serial multi-run benches get one file set per run), and the
- * sampling grid. Benches call `core::run(cliRunOptions(...))`.
+ * policy selection (without `--policy` the bench's own choice
+ * stands), telemetry switches, and sinks (advancing the shared run
+ * index so serial multi-run benches get one file set per run).
+ * Benches call `core::run(cliRunOptions(...))`.
  */
 inline core::RunOptions
 cliRunOptions(const model::LlmConfig& llm, const core::ClusterDesign& design,
               const workload::Trace& trace, core::SimConfig config = {})
 {
     BenchArgs& args = benchArgs();
-    core::RunOptions options;
-    options.llm = llm;
-    options.design = design;
-    options.traces = {trace};
-    options.sim = config;
-    applyPolicyCli(options.sim);
-    const int index = args.any() ? args.runIndex.fetch_add(1) : 0;
-    options.sinks = cliRunSinks(options.sim, index);
+    const int index = args.sinks.any() ? args.runIndex.fetch_add(1) : 0;
+    core::RunOptions options{.llm = llm, .design = design,
+                             .traces = {trace}, .sim = config,
+                             .faults = {}, .sinks = cliRunSinks(index)};
+    if (!args.policy.empty())  // validated by the --policy parser
+        sched::parsePolicyKind(args.policy, &options.sim.policy.kind);
+    applyTelemetryCli(options.sim);
     return options;
 }
 

@@ -47,7 +47,8 @@ parseArgs(int argc, char** argv)
     auto parser = bench::benchParser(
         "bench_dst",
         "DST soak: fuzz seeded scenarios through the invariant checker "
-        "until a seed count or wall-clock budget is exhausted");
+        "until a seed count or wall-clock budget is exhausted",
+        bench::kSpans | bench::kJobs | bench::kShort);
     parser.addInt("--seeds", &args.seeds, "scenario count for the campaign");
     parser.addUint64("--base-seed", &args.baseSeed, "first scenario seed");
     parser.addString("--time-budget", &args.timeBudget,

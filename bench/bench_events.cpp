@@ -267,7 +267,8 @@ main(int argc, char** argv)
     bench::parseBenchArgs(
         argc, argv, "bench_events",
         "events/sec of the pooled-heap event engine vs the legacy "
-        "priority_queue+tombstone implementation");
+        "priority_queue+tombstone implementation",
+        bench::kShort);
 
     const bool short_run = bench::benchArgs().shortRun;
     const std::uint64_t iters = short_run ? 20'000 : 120'000;

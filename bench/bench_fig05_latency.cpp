@@ -20,9 +20,10 @@
 int
 main(int argc, char** argv)
 {
-    splitwise::bench::parseBenchArgs(argc, argv, "bench_fig05_latency",
-        "Paper Fig. 5: TTFT/TBT/E2E latency models");
     using namespace splitwise;
+    bench::parseBenchArgs(argc, argv, "bench_fig05_latency",
+        "Paper Fig. 5: TTFT/TBT/E2E latency models",
+        bench::kSinks | bench::kSpans | bench::kPolicy | bench::kShort);
     using metrics::Table;
 
     const model::AnalyticalPerfModel llama(model::llama2_70b(),
@@ -86,10 +87,9 @@ main(int argc, char** argv)
                   "(Splitwise-HH, coding)");
     {
         const bool short_run = bench::benchArgs().shortRun;
-        core::SimConfig config;
-        bench::applyTelemetryCli(config);
         // The attribution section is this bench's whole point, so
-        // span tracking is on regardless of --breakdown-out.
+        // span tracking is on unless --spans off turns it off.
+        core::SimConfig config;
         config.telemetry.spanTracking = true;
         const auto design = bench::isoPowerDesign(
             provision::DesignKind::kSplitwiseHH, "coding");

@@ -9,7 +9,10 @@
  * hardware_concurrency); `--jobs 1` is the exact serial path and
  * produces byte-identical results. `--report-out=PATH` dumps every
  * cell's reportToJson as a JSON array - the artifact the CI
- * determinism gate byte-compares between job counts.
+ * determinism gate byte-compares between job counts. `--spans on`
+ * tracks spans in every cell (each report then carries its
+ * breakdown); it is the A/B switch of the span-overhead probe in
+ * tools/perf_baseline.sh.
  */
 
 #include <chrono>
@@ -29,7 +32,8 @@ main(int argc, char** argv)
     auto parser = bench::benchParser(
         "bench_fig12_design_space",
         "Paper Fig. 12: Splitwise-HH provisioning design-space sweep "
-        "with SLO-feasible and cost-optimal marking");
+        "with SLO-feasible and cost-optimal marking",
+        bench::kSpans | bench::kJobs);
     parser.addString("--report-out", &report_out,
                      "dump every cell's report as a JSON array (the CI "
                      "determinism-gate artifact)");
@@ -40,6 +44,7 @@ main(int argc, char** argv)
     options.traceDuration = sim::secondsToUs(25);
     options.jobs = bench::effectiveJobs();
     options.captureReports = !report_out.empty();
+    bench::applyTelemetryCli(options.simConfig);
     provision::Provisioner prov(model::llama2_70b(), workload::coding(),
                                 options);
 

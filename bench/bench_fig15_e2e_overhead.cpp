@@ -28,9 +28,10 @@ secondTokenSummary(const splitwise::core::RunReport& report)
 int
 main(int argc, char** argv)
 {
-    splitwise::bench::parseBenchArgs(argc, argv, "bench_fig15_e2e_overhead",
-        "Paper Fig. 15: end-to-end transfer overhead");
     using namespace splitwise;
+    bench::parseBenchArgs(argc, argv, "bench_fig15_e2e_overhead",
+        "Paper Fig. 15: end-to-end transfer overhead",
+        bench::kSinks | bench::kSpans | bench::kPolicy);
     using metrics::Table;
 
     // Low arrival rate approximates the paper's no-batching setup:

@@ -63,8 +63,10 @@ sweepWorkload(const char* workload_name,
 int
 main(int argc, char** argv)
 {
-    splitwise::bench::parseBenchArgs(argc, argv, "bench_fig16_isopower_latency",
-        "Paper Fig. 16: iso-power latency comparison");
+    using namespace splitwise;
+    bench::parseBenchArgs(argc, argv, "bench_fig16_isopower_latency",
+        "Paper Fig. 16: iso-power latency comparison",
+        bench::kSinks | bench::kSpans | bench::kPolicy);
     // Paper loads: coding up to ~130 RPS, conversation up to ~130.
     sweepWorkload("coding", {40, 70, 100, 130});
     sweepWorkload("conversation", {40, 70, 100, 130});

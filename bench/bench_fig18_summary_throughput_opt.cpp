@@ -69,8 +69,10 @@ summarize(const char* title, bool iso_power)
 int
 main(int argc, char** argv)
 {
-    splitwise::bench::parseBenchArgs(argc, argv, "bench_fig18_summary_throughput_opt",
-        "Paper Fig. 18: throughput-optimized design summary");
+    using namespace splitwise;
+    bench::parseBenchArgs(argc, argv, "bench_fig18_summary_throughput_opt",
+        "Paper Fig. 18: throughput-optimized design summary",
+        bench::kJobs);
     summarize("Fig. 18a: iso-power throughput-optimized (conversation,"
               " budget = 40x DGX-H100 power)",
               true);

@@ -68,8 +68,10 @@ summarize(const char* title, double target_rps, bool optimize_power)
 int
 main(int argc, char** argv)
 {
-    splitwise::bench::parseBenchArgs(argc, argv, "bench_fig19_summary_isothroughput",
-        "Paper Fig. 19: iso-throughput design summary");
+    using namespace splitwise;
+    bench::parseBenchArgs(argc, argv, "bench_fig19_summary_isothroughput",
+        "Paper Fig. 19: iso-throughput design summary",
+        bench::kJobs);
     const double target_rps = 70.0;  // the paper's target throughput
     summarize("Fig. 19a: iso-throughput power-optimized (conversation, "
               "70 RPS)",

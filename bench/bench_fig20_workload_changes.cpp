@@ -52,9 +52,10 @@ sweep(const char* title, const splitwise::model::LlmConfig& llm,
 int
 main(int argc, char** argv)
 {
-    splitwise::bench::parseBenchArgs(argc, argv, "bench_fig20_workload_changes",
-        "Paper Fig. 20: robustness to workload drift");
     using namespace splitwise;
+    bench::parseBenchArgs(argc, argv, "bench_fig20_workload_changes",
+        "Paper Fig. 20: robustness to workload drift",
+        bench::kSinks | bench::kSpans | bench::kPolicy);
 
     // (a) Conversation trace on clusters provisioned for coding.
     sweep("Fig. 20a: conversation trace on coding-provisioned clusters",

@@ -157,8 +157,8 @@ BENCHMARK(BM_ClusterSimulationTelemetry)->Unit(benchmark::kMillisecond);
 int
 main(int argc, char** argv)
 {
-    // The shared bench flags are accepted for CLI uniformity;
-    // google-benchmark's own --benchmark_* flags pass through.
+    // No shared bench flags; google-benchmark's own --benchmark_*
+    // flags pass through.
     auto parser = splitwise::bench::benchParser(
         "bench_micro",
         "google-benchmark microbenchmarks for the simulator's hot "

@@ -189,7 +189,8 @@ main(int argc, char** argv)
     bench::ArgParser parser = bench::benchParser(
         "bench_scale",
         "simulation throughput and peak RSS at 10^5..10^6 requests on "
-        "10^2..2*10^3 machines, streamed vs materialized ingestion");
+        "10^2..2*10^3 machines, streamed vs materialized ingestion",
+        bench::kShort);
     parser.addString("--mode", &scale.mode,
                      "ingestion path: streamed (bounded memory) or "
                      "materialized (naive full-trace baseline)");

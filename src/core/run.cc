@@ -40,31 +40,7 @@ runOneWith(const RunOptions& options, const SimConfig& config, int index,
     if (!options.faults.empty())
         FaultInjector(cluster).apply(options.faults);
     RunReport report = doRun(cluster);
-    if (!options.sinks.tracePath.empty() && cluster.traceRecorder()) {
-        const auto path = indexedSinkPath(options.sinks.tracePath, index);
-        cluster.traceRecorder()->writeFile(path);
-        std::printf("wrote trace %s (%zu events)\n", path.c_str(),
-                    cluster.traceRecorder()->eventCount());
-    }
-    if (!options.sinks.timeseriesPath.empty() &&
-        !report.timeseries.empty()) {
-        const auto path =
-            indexedSinkPath(options.sinks.timeseriesPath, index);
-        report.timeseries.writeCsv(path);
-        std::printf("wrote timeseries %s (%zu rows)\n", path.c_str(),
-                    report.timeseries.rows.size());
-    }
-    if (!options.sinks.breakdownPath.empty() && cluster.spanTracker()) {
-        const auto path = indexedSinkPath(options.sinks.breakdownPath, index);
-        const std::string json = cluster.spanTracker()->attributionJson();
-        std::FILE* file = std::fopen(path.c_str(), "w");
-        if (!file)
-            sim::fatal("core::run: cannot write breakdown file " + path);
-        std::fwrite(json.data(), 1, json.size(), file);
-        std::fclose(file);
-        std::printf("wrote breakdown %s (%zu requests)\n", path.c_str(),
-                    cluster.spanTracker()->completedCount());
-    }
+    writeSinks(cluster, report, options.sinks, index);
     return report;
 }
 
@@ -92,6 +68,36 @@ indexedSinkPath(const std::string& path, int index)
     if (!has_ext)
         return path + suffix;
     return path.substr(0, dot) + suffix + path.substr(dot);
+}
+
+void
+writeSinks(Cluster& cluster, const RunReport& report, const RunSinks& sinks,
+           int index)
+{
+    if (!sinks.tracePath.empty() && cluster.traceRecorder()) {
+        const auto path = indexedSinkPath(sinks.tracePath, index);
+        cluster.traceRecorder()->writeFile(path);
+        std::printf("wrote trace %s (%zu events)\n", path.c_str(),
+                    cluster.traceRecorder()->eventCount());
+    }
+    if (!sinks.timeseriesPath.empty() && !report.timeseries.empty()) {
+        const auto path = indexedSinkPath(sinks.timeseriesPath, index);
+        report.timeseries.writeCsv(path);
+        std::printf("wrote timeseries %s (%zu rows)\n", path.c_str(),
+                    report.timeseries.rows.size());
+    }
+    if (!sinks.breakdownPath.empty() && cluster.spanTracker()) {
+        const auto path = indexedSinkPath(sinks.breakdownPath, index);
+        const std::string json = cluster.spanTracker()->attributionJson();
+        std::FILE* file = std::fopen(path.c_str(), "w");
+        if (!file)
+            sim::fatal("core::writeSinks: cannot write breakdown file " +
+                       path);
+        std::fwrite(json.data(), 1, json.size(), file);
+        std::fclose(file);
+        std::printf("wrote breakdown %s (%zu requests)\n", path.c_str(),
+                    cluster.spanTracker()->completedCount());
+    }
 }
 
 RunReport

@@ -129,6 +129,16 @@ RunReport runLive(const RunOptions& options, Ingress& ingress,
  */
 RunReport replay(const RunOptions& options, const SessionRecording& recording);
 
+/**
+ * Write @p sinks for one finished run of @p cluster under run index
+ * @p index (paths suffixed via indexedSinkPath) and print a `wrote ...`
+ * line per file. A sink whose collection was off in the cluster's
+ * config writes nothing. Safe to call from RunPool workers: distinct
+ * indices write distinct files.
+ */
+void writeSinks(Cluster& cluster, const RunReport& report,
+                const RunSinks& sinks, int index);
+
 /** "out.json" with run index 2 becomes "out.2.json"; index 0 is unchanged. */
 std::string indexedSinkPath(const std::string& path, int index);
 
