@@ -24,7 +24,7 @@ main(int argc, char** argv)
     using namespace splitwise;
     bench::parseBenchArgs(argc, argv, "bench_ablation_prefix",
         "Ablation: session prefix-cache KV reuse vs full recompute",
-        bench::kSinks | bench::kSpans | bench::kShort);
+        bench::kSinks | bench::kShort);
     using metrics::Table;
     const bench::BenchArgs& args = bench::benchArgs();
 

@@ -118,7 +118,7 @@ main(int argc, char** argv)
         "SLO-driven online autoscaling: diurnal + flash-crowd traffic "
         "under auto / static-peak / static-trough provisioning, plus a "
         "fault-storm soak with the DST invariant catalog armed",
-        bench::kSinks | bench::kSpans | bench::kJobs | bench::kShort);
+        bench::kSinks | bench::kJobs | bench::kShort);
     std::string report_out;
     parser.addString("--report-out", &report_out,
                      "write every run's full report JSON (determinism "
@@ -165,6 +165,7 @@ main(int argc, char** argv)
     // ladder in this bench, not the static queue bound.
     base_config.cls.shedQueuedTokensBound = 500000;
     bench::applyTelemetryCli(base_config);
+    core::enableSinks(base_config, args.sinks);
 
     sim::RunPool pool(bench::effectiveJobs());
     const std::vector<AutoscaleResult> results = pool.map(

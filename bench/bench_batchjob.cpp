@@ -46,7 +46,7 @@ main(int argc, char** argv)
     using namespace splitwise;
     bench::parseBenchArgs(argc, argv, "bench_batchjob",
         "Batch-job throughput on mixed request sizes",
-        bench::kSinks | bench::kSpans | bench::kPolicy);
+        bench::kSinks | bench::kPolicy);
     using metrics::Table;
     using provision::DesignKind;
 

@@ -55,12 +55,16 @@ main(int argc, char** argv)
         "bench_chaos",
         "Chaos soak: iso-power Splitwise-HH under a seeded fault storm "
         "vs fault-free, with full request accounting",
-        bench::kSinks | bench::kSpans | bench::kJobs | bench::kRuns |
-            bench::kShort);
+        bench::kSinks | bench::kJobs | bench::kShort);
+    int storm_runs = 1;
+    parser.addInt("--runs", &storm_runs,
+                  "consecutive storm seeds to soak (seed, seed+1, ...)");
     std::string seed_arg;
     parser.addPositional("storm_seed", &seed_arg,
                          "base storm seed (default 2024)");
     parser.parse(argc, argv);
+    if (storm_runs < 1)
+        parser.fail("--runs must be >= 1");
     const bench::BenchArgs& args = bench::benchArgs();
 
     std::uint64_t seed = 2024;
@@ -92,11 +96,11 @@ main(int argc, char** argv)
     // Run 0 is the fault-free control; runs 1..N are storm seeds.
     std::vector<ChaosRun> runs;
     runs.push_back({false, 0});
-    for (int i = 0; i < args.runs; ++i)
+    for (int i = 0; i < storm_runs; ++i)
         runs.push_back({true, seed + static_cast<std::uint64_t>(i)});
 
     bench::banner("Chaos soak: Splitwise-HH 17P+23T, conversation @ "
-                  "70 RPS, " + std::to_string(args.runs) +
+                  "70 RPS, " + std::to_string(storm_runs) +
                   " storm(s) from seed " + std::to_string(seed));
     for (const ChaosRun& run : runs) {
         if (!run.faulted)
@@ -122,6 +126,7 @@ main(int argc, char** argv)
     config.kvRetry.maxRetries = 4;
     config.kvRetry.backoffBaseUs = sim::msToUs(20.0);
     bench::applyTelemetryCli(config);
+    core::enableSinks(config, args.sinks);
 
     // Fan the runs out; each owns its cluster, fault plan, and
     // telemetry sinks, so reports are identical at every job count.

@@ -17,23 +17,22 @@
  *   kSinks   --trace-out, --timeseries-out, --breakdown-out (files
  *            per cluster run; each switches its collection on),
  *            --exemplars=K, --sample-interval-ms=N
- *   kSpans   --spans=auto|on|off (on: track without writing files,
- *            the span-overhead probe's A/B switch)
+ *   kSpans   --spans=auto|on|off (track spans without writing files:
+ *            the A/B switch of the span-overhead probes)
  *   kPolicy  --policy=NAME (unset keeps the bench's own choice)
  *   kJobs    --jobs=N (0 = hardware default, 1 = exact serial path)
- *   kRuns    --runs=N (bench_chaos storm seeds)
  *   kShort   --short (reduced-duration smoke variant for CI)
  *
- *   kSinks|kSpans|kPolicy       batchjob, fig04, fig15, fig16, fig17,
- *                               fig20; fig05 adds kShort
- *   kSinks|kSpans|kShort        ablation_prefix (the policy is the
- *                               variable it compares)
- *   kSinks|kSpans|kJobs|kShort  autoscale; chaos adds kRuns
- *   kSpans|kJobs|kShort         dst
- *   kSpans|kJobs                fig12
- *   kJobs                       fig18, fig19
- *   kShort                      events, scale
- *   (none)                      the other 13 benches
+ *   kSinks|kPolicy        batchjob, fig04, fig15, fig16, fig17, fig20;
+ *                         fig05 adds kShort
+ *   kSinks|kShort         ablation_prefix (the policy is the variable
+ *                         it compares)
+ *   kSinks|kJobs|kShort   autoscale, chaos
+ *   kSpans|kJobs|kShort   dst
+ *   kSpans|kJobs          fig12
+ *   kJobs                 fig18, fig19
+ *   kShort                events, scale
+ *   (none)                the other 13 benches
  *
  * Benches that run several clusters suffix the path with the run
  * index before the extension (trace.json, trace.1.json, ...).
@@ -130,8 +129,7 @@ enum FlagGroup : unsigned {
     kSpans = 1u << 1,
     kPolicy = 1u << 2,
     kJobs = 1u << 3,
-    kRuns = 1u << 4,
-    kShort = 1u << 5,
+    kShort = 1u << 4,
 };
 
 /** The parsed shared flags (see the file comment). */
@@ -146,8 +144,6 @@ struct BenchArgs {
     double sampleIntervalMs = 1000.0;
     /** Worker count for multi-run benches; 0 = hardware default. */
     int jobs = 0;
-    /** Repetition count for seed-soak benches. */
-    int runs = 1;
     /**
      * Scheduling-policy name (`--policy`), resolved through
      * sched::parsePolicyKind(); empty keeps the bench's own
@@ -204,14 +200,12 @@ benchParser(const std::string& program, const std::string& summary,
     }
     if (groups & kSpans) {
         parser.addString("--spans", &args.spans,
-                         "span tracking: auto (follow --breakdown-out), "
+                         "span tracking: auto (the bench's own choice), "
                          "on, or off");
         parser.addValidator([&args] {
             if (args.spans != "auto" && args.spans != "on" &&
                 args.spans != "off")
                 sim::fatal("--spans must be auto, on, or off");
-            if (args.spans == "off" && !args.sinks.breakdownPath.empty())
-                sim::fatal("--spans=off contradicts --breakdown-out");
         });
     }
     if (groups & kJobs) {
@@ -221,14 +215,6 @@ benchParser(const std::string& program, const std::string& summary,
         parser.addValidator([&args] {
             if (args.jobs < 0)
                 sim::fatal("--jobs must be >= 0 (0 = hardware default)");
-        });
-    }
-    if (groups & kRuns) {
-        parser.addInt("--runs", &args.runs,
-                      "repetition count for seed-soak benches");
-        parser.addValidator([&args] {
-            if (args.runs < 1)
-                sim::fatal("--runs must be >= 1");
         });
     }
     if (groups & kPolicy) {
@@ -270,21 +256,19 @@ effectiveJobs()
 }
 
 /**
- * Turn the parsed bench flags into per-run telemetry switches: the
- * one place the CLI reaches SimConfig::telemetry.
+ * Apply the telemetry settings that are not a sink path to @p config:
+ * `--spans`, `--exemplars`, and `--sample-interval-ms` (as the grid of
+ * a requested time series). Which collection a sink path switches on
+ * is core::enableSinks' rule.
  */
 inline void
 applyTelemetryCli(core::SimConfig& config)
 {
     const BenchArgs& args = benchArgs();
-    if (!args.sinks.tracePath.empty())
-        config.telemetry.traceEnabled = true;
     if (!args.sinks.timeseriesPath.empty())
         config.telemetry.sampleIntervalUs = sim::msToUs(args.sampleIntervalMs);
-    if (!args.sinks.breakdownPath.empty() || args.spans == "on")
-        config.telemetry.spanTracking = true;
-    if (args.spans == "off")
-        config.telemetry.spanTracking = false;
+    if (args.spans != "auto")
+        config.telemetry.spanTracking = args.spans == "on";
     config.telemetry.exemplarK = args.exemplars;
 }
 

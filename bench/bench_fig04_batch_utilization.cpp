@@ -92,7 +92,7 @@ main(int argc, char** argv)
     using namespace splitwise;
     bench::parseBenchArgs(argc, argv, "bench_fig04_batch_utilization",
         "Paper Fig. 4: active tokens per batch over time",
-        bench::kSinks | bench::kSpans | bench::kPolicy);
+        bench::kSinks | bench::kPolicy);
 
     report("Llama2-70B", model::llama2_70b());
     report("BLOOM-176B", model::bloom_176b());

@@ -23,7 +23,7 @@ main(int argc, char** argv)
     using namespace splitwise;
     bench::parseBenchArgs(argc, argv, "bench_fig05_latency",
         "Paper Fig. 5: TTFT/TBT/E2E latency models",
-        bench::kSinks | bench::kSpans | bench::kPolicy | bench::kShort);
+        bench::kSinks | bench::kPolicy | bench::kShort);
     using metrics::Table;
 
     const model::AnalyticalPerfModel llama(model::llama2_70b(),
@@ -88,7 +88,7 @@ main(int argc, char** argv)
     {
         const bool short_run = bench::benchArgs().shortRun;
         // The attribution section is this bench's whole point, so
-        // span tracking is on unless --spans off turns it off.
+        // span tracking is always on.
         core::SimConfig config;
         config.telemetry.spanTracking = true;
         const auto design = bench::isoPowerDesign(

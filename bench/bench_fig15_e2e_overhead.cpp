@@ -31,7 +31,7 @@ main(int argc, char** argv)
     using namespace splitwise;
     bench::parseBenchArgs(argc, argv, "bench_fig15_e2e_overhead",
         "Paper Fig. 15: end-to-end transfer overhead",
-        bench::kSinks | bench::kSpans | bench::kPolicy);
+        bench::kSinks | bench::kPolicy);
     using metrics::Table;
 
     // Low arrival rate approximates the paper's no-batching setup:

@@ -66,7 +66,7 @@ main(int argc, char** argv)
     using namespace splitwise;
     bench::parseBenchArgs(argc, argv, "bench_fig16_isopower_latency",
         "Paper Fig. 16: iso-power latency comparison",
-        bench::kSinks | bench::kSpans | bench::kPolicy);
+        bench::kSinks | bench::kPolicy);
     // Paper loads: coding up to ~130 RPS, conversation up to ~130.
     sweepWorkload("coding", {40, 70, 100, 130});
     sweepWorkload("conversation", {40, 70, 100, 130});

@@ -57,7 +57,7 @@ main(int argc, char** argv)
     using namespace splitwise;
     bench::parseBenchArgs(argc, argv, "bench_fig17_batch_cdf",
         "Paper Fig. 17: batched-token CDFs per pool",
-        bench::kSinks | bench::kSpans | bench::kPolicy);
+        bench::kSinks | bench::kPolicy);
     atLoad(70.0, "low load (70 RPS)");
     atLoad(130.0, "high load (130 RPS)");
     std::printf("\nPaper: at low load baseline machines spend ~70%% of"

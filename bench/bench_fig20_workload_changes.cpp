@@ -55,7 +55,7 @@ main(int argc, char** argv)
     using namespace splitwise;
     bench::parseBenchArgs(argc, argv, "bench_fig20_workload_changes",
         "Paper Fig. 20: robustness to workload drift",
-        bench::kSinks | bench::kSpans | bench::kPolicy);
+        bench::kSinks | bench::kPolicy);
 
     // (a) Conversation trace on clusters provisioned for coding.
     sweep("Fig. 20a: conversation trace on coding-provisioned clusters",

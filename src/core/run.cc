@@ -10,19 +10,12 @@ namespace splitwise::core {
 
 namespace {
 
-/** Switch on the telemetry collection each requested sink needs. */
+/** options.sim with the collection its sinks need switched on. */
 SimConfig
 effectiveConfig(const RunOptions& options)
 {
     SimConfig config = options.sim;
-    if (!options.sinks.tracePath.empty())
-        config.telemetry.traceEnabled = true;
-    if (!options.sinks.timeseriesPath.empty() &&
-        config.telemetry.sampleIntervalUs <= 0) {
-        config.telemetry.sampleIntervalUs = sim::msToUs(1000.0);
-    }
-    if (!options.sinks.breakdownPath.empty())
-        config.telemetry.spanTracking = true;
+    enableSinks(config, options.sinks);
     return config;
 }
 
@@ -68,6 +61,17 @@ indexedSinkPath(const std::string& path, int index)
     if (!has_ext)
         return path + suffix;
     return path.substr(0, dot) + suffix + path.substr(dot);
+}
+
+void
+enableSinks(SimConfig& config, const RunSinks& sinks)
+{
+    if (!sinks.tracePath.empty())
+        config.telemetry.traceEnabled = true;
+    if (!sinks.timeseriesPath.empty() && config.telemetry.sampleIntervalUs <= 0)
+        config.telemetry.sampleIntervalUs = sim::msToUs(1000.0);
+    if (!sinks.breakdownPath.empty())
+        config.telemetry.spanTracking = true;
 }
 
 void

@@ -130,6 +130,16 @@ RunReport runLive(const RunOptions& options, Ingress& ingress,
 RunReport replay(const RunOptions& options, const SessionRecording& recording);
 
 /**
+ * Switch on in @p config the telemetry collection each set path of
+ * @p sinks needs: a trace path enables the trace recorder, a
+ * time-series path the sampler (at 1000 ms unless an interval is
+ * already set), a breakdown path span tracking. run(), runMany(),
+ * runStream(), runLive() and replay() apply it themselves; callers
+ * that build their own Cluster apply it before writeSinks().
+ */
+void enableSinks(SimConfig& config, const RunSinks& sinks);
+
+/**
  * Write @p sinks for one finished run of @p cluster under run index
  * @p index (paths suffixed via indexedSinkPath) and print a `wrote ...`
  * line per file. A sink whose collection was off in the cluster's

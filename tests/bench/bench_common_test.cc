@@ -57,13 +57,14 @@ TEST(BenchCommonDeathTest, JobsOnlyHelpListsJobsAlone)
         "  --help +show this help\n$");
 }
 
-TEST(BenchCommonDeathTest, SpansOffContradictsBreakdown)
+TEST(BenchCommonDeathTest, SinkBenchRejectsSpans)
 {
-    Argv args({"bench_x", "--spans=off", "--breakdown-out=x"});
+    // The sink benches print no span output; a breakdown file comes
+    // from --breakdown-out, which switches span tracking on itself.
+    Argv args({"bench_x", "--spans", "on"});
     EXPECT_EXIT(parseBenchArgs(args.argc(), args.argv(), "bench_x",
-                               "summary", kSinks | kSpans),
-                ::testing::ExitedWithCode(2),
-                "--spans=off contradicts --breakdown-out");
+                               "summary", kSinks | kPolicy),
+                ::testing::ExitedWithCode(2), "unknown flag --spans");
 }
 
 TEST(BenchCommonDeathTest, UnknownPolicyExits2)
@@ -74,20 +75,41 @@ TEST(BenchCommonDeathTest, UnknownPolicyExits2)
                 ::testing::ExitedWithCode(2), "unknown policy 'bogus'");
 }
 
-TEST(BenchCommonTest, CliRunOptionsAppliesSpansOn)
+TEST(BenchCommonTest, SpansOverridesTheBenchDefault)
 {
-    // --spans on must reach the run's SimConfig even though no
-    // breakdown file is requested: the span-overhead probe depends
-    // on it. This test mutates the process-wide BenchArgs, so it
-    // restores the default afterwards.
-    Argv args({"bench_x", "--spans", "on"});
-    parseBenchArgs(args.argc(), args.argv(), "bench_x", "summary",
-                   kSinks | kSpans | kPolicy);
-    const core::RunOptions options = cliRunOptions(
-        model::llama2_70b(), core::splitwiseHH(1, 1), workload::Trace{});
-    EXPECT_TRUE(options.sim.telemetry.spanTracking);
-    EXPECT_FALSE(options.sinks.any());
+    // The sweep's span-overhead A/B switch. This test mutates the
+    // process-wide BenchArgs, so it restores the default afterwards.
+    Argv on({"bench_x", "--spans", "on"});
+    parseBenchArgs(on.argc(), on.argv(), "bench_x", "summary",
+                   kSpans | kJobs);
+    core::SimConfig config;
+    applyTelemetryCli(config);
+    EXPECT_TRUE(config.telemetry.spanTracking);
+    benchArgs().spans = "off";
+    applyTelemetryCli(config);
+    EXPECT_FALSE(config.telemetry.spanTracking);
     benchArgs().spans = "auto";
+    config.telemetry.spanTracking = true;
+    applyTelemetryCli(config);
+    EXPECT_TRUE(config.telemetry.spanTracking);
+}
+
+TEST(BenchCommonTest, SinkPathsEnableTheirCollection)
+{
+    // applyTelemetryCli sets the grid; core::enableSinks switches on
+    // what each set path needs and keeps that grid.
+    BenchArgs& args = benchArgs();
+    args.sinks.timeseriesPath = "ts.csv";
+    args.sinks.breakdownPath = "bd.json";
+    args.sampleIntervalMs = 250.0;
+    core::SimConfig config;
+    applyTelemetryCli(config);
+    core::enableSinks(config, args.sinks);
+    EXPECT_FALSE(config.telemetry.traceEnabled);
+    EXPECT_TRUE(config.telemetry.spanTracking);
+    EXPECT_EQ(config.telemetry.sampleIntervalUs, sim::msToUs(250.0));
+    args.sinks = {};
+    args.sampleIntervalMs = 1000.0;
 }
 
 TEST(BenchCommonTest, CliRunSinksSuffixesOnlySetPaths)
